@@ -94,34 +94,22 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
 
   // Contexts are independent, so they fan out across the pool; verdicts,
   // tallies, and trace events fold in library order afterwards, making the
-  // record identical (modulo ElapsedMs) for every worker count.
+  // record identical (modulo ElapsedMs) for every worker count. No context
+  // is drained on a guard trip: each polls the guard itself and records a
+  // bounded verdict, as a one-worker run does.
   const std::vector<ContextSpec> &Lib = contextLibrary();
   std::vector<ContextRecord> CtxRecords(Lib.size());
-  unsigned N = std::min<size_t>(exec::resolveThreads(PsCfg.NumThreads),
-                                Lib.size());
-  if (N > 1 && !exec::ThreadPool::insideWorker()) {
-    std::vector<std::unique_ptr<obs::Telemetry>> WTelems;
-    std::vector<PsConfig> WCfgs(N, PsCfg);
-    if (Telem)
-      for (unsigned W = 0; W != N; ++W) {
-        WTelems.push_back(std::make_unique<obs::Telemetry>());
-        WCfgs[W].Telem = WTelems.back().get();
-      }
-    exec::parallelFor(
-        N, Lib.size(),
-        [&](size_t I, unsigned W) {
-          CtxRecords[I] = checkContext(Lib[I], Src, Tgt, WCfgs[W]);
-        },
-        PsCfg.Guard ? &PsCfg.Guard->stopFlag() : nullptr);
-    if (Telem)
-      for (const std::unique_ptr<obs::Telemetry> &WT : WTelems)
-        Telem->mergeCounters(WT->Counters);
-  } else {
-    for (size_t I = 0; I != Lib.size(); ++I) {
-      obs::ScopedTimer CtxTimer(Timers, Lib[I].Name);
-      CtxRecords[I] = checkContext(Lib[I], Src, Tgt, PsCfg);
-    }
-  }
+  unsigned N = exec::fanOutWidth(PsCfg.NumThreads, Lib.size());
+  obs::WorkerTelemetry WTelem(PsCfg.Telem, N);
+  std::vector<PsConfig> WCfgs(N, PsCfg);
+  for (unsigned W = 0; W != N; ++W)
+    WCfgs[W].Telem = WTelem[W];
+  exec::parallelFor(N, Lib.size(), [&](size_t I, unsigned W) {
+    obs::Telemetry *WT = WCfgs[W].Telem;
+    obs::ScopedTimer CtxTimer(WT ? &WT->Timers : nullptr, Lib[I].Name);
+    CtxRecords[I] = checkContext(Lib[I], Src, Tgt, WCfgs[W]);
+  });
+  WTelem.merge();
 
   for (ContextRecord &CR : CtxRecords) {
     if (!CR.Applicable)
@@ -148,8 +136,7 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
     Rec.Contexts.push_back(std::move(V));
   }
 
-  // Contexts drained by a guard trip in the parallel fan-out leave default
-  // (inapplicable-looking) records; the guard still makes the pair bounded.
+  // A trip after the last context's poll still makes the pair bounded.
   if (guard::ResourceGuard *G = PsCfg.Guard; G && G->stopped()) {
     Rec.AnyBounded = true;
     noteTruncation(Rec.FirstCause, G->cause());

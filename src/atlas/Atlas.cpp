@@ -322,31 +322,18 @@ AtlasResult atlas::buildAtlas(const AtlasOptions &Opts) {
   AtlasResult R;
   R.Entries.resize(Templates.size());
 
-  unsigned N = std::min<size_t>(exec::resolveThreads(Opts.NumThreads),
-                                Templates.size());
-  if (N > 1 && !exec::ThreadPool::insideWorker()) {
-    // Worker-private telemetry, merged in template order afterwards (the
-    // registries are not safe for concurrent writers; see Harness.cpp).
-    std::vector<std::unique_ptr<obs::Telemetry>> WTelems;
-    std::vector<AtlasOptions> WOpts(N, Opts);
-    if (Opts.Telem)
-      for (unsigned W = 0; W != N; ++W) {
-        WTelems.push_back(std::make_unique<obs::Telemetry>());
-        WOpts[W].Telem = WTelems.back().get();
-      }
-    exec::parallelFor(
-        N, Templates.size(),
-        [&](size_t I, unsigned W) {
-          R.Entries[I] = decideTemplate(Templates[I], WOpts[W]);
-        },
-        Opts.Guard ? &Opts.Guard->stopFlag() : nullptr);
-    if (Opts.Telem)
-      for (const std::unique_ptr<obs::Telemetry> &WT : WTelems)
-        Opts.Telem->mergeCounters(WT->Counters);
-  } else {
-    for (size_t I = 0; I != Templates.size(); ++I)
-      R.Entries[I] = decideTemplate(Templates[I], Opts);
-  }
+  // Templates fan out across the pool and land in template order. None is
+  // drained on a guard trip: each one's checks poll the guard and come
+  // back bounded, as in a one-worker run.
+  unsigned N = exec::fanOutWidth(Opts.NumThreads, Templates.size());
+  obs::WorkerTelemetry WTelem(Opts.Telem, N);
+  std::vector<AtlasOptions> WOpts(N, Opts);
+  for (unsigned W = 0; W != N; ++W)
+    WOpts[W].Telem = WTelem[W];
+  exec::parallelFor(N, Templates.size(), [&](size_t I, unsigned W) {
+    R.Entries[I] = decideTemplate(Templates[I], WOpts[W]);
+  });
+  WTelem.merge();
 
   for (const AtlasEntry &E : R.Entries) {
     switch (E.Verdict) {

@@ -7,6 +7,7 @@
 
 #include "exec/ThreadPool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -52,6 +53,13 @@ unsigned exec::defaultNumThreads() {
     return resolveThreads(static_cast<unsigned>(V));
   }();
   return Cached;
+}
+
+unsigned exec::fanOutWidth(unsigned NumThreads, size_t Items) {
+  if (ThreadPool::insideWorker())
+    return 1;
+  unsigned N = resolveThreads(NumThreads);
+  return Items < N ? static_cast<unsigned>(std::max<size_t>(Items, 1)) : N;
 }
 
 ThreadPool &ThreadPool::global() {

@@ -30,6 +30,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -55,6 +56,37 @@ unsigned maxThreads();
 /// Reading the environment once lets CI run the whole suite multi-threaded
 /// without touching every call site.
 unsigned defaultNumThreads();
+
+/// The worker count one fan-out over \p Items runs with: \p NumThreads
+/// resolved (0 = all hardware threads) and clamped to \p Items, or 1 on a
+/// pool worker, where nested fan-outs run inline (see ThreadPool::run).
+/// Engines size their per-worker arenas by it.
+unsigned fanOutWidth(unsigned NumThreads, size_t Items = SIZE_MAX);
+
+/// Lowest index known to have failed in a first-failure fan-out: folds
+/// stop at the first failed index, so every body skips indices past it.
+/// No index at or below the smallest failure is ever skipped, and at one
+/// worker the bound reproduces a loop that breaks at its first failure.
+class FirstFailure {
+public:
+  explicit FirstFailure(size_t Items) : Min(Items) {}
+
+  /// True when \p Idx lies past a known failure.
+  bool past(size_t Idx) const {
+    return Idx > Min.load(std::memory_order_relaxed);
+  }
+
+  /// Records that \p Idx failed.
+  void note(size_t Idx) {
+    size_t Cur = Min.load(std::memory_order_relaxed);
+    while (Idx < Cur &&
+           !Min.compare_exchange_weak(Cur, Idx, std::memory_order_relaxed))
+      ;
+  }
+
+private:
+  std::atomic<size_t> Min;
+};
 
 /// A fixed pool of persistent worker threads executing index batches.
 class ThreadPool {

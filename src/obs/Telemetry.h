@@ -22,7 +22,9 @@
 #include "obs/Timer.h"
 #include "obs/TraceSink.h"
 
+#include <memory>
 #include <mutex>
+#include <vector>
 
 namespace pseq::obs {
 
@@ -33,16 +35,16 @@ struct Telemetry {
   /// Borrowed, not owned; null means "no tracing". Prefer tracing() +
   /// trace() over touching this directly.
   TraceSink *Sink = nullptr;
-  /// Borrowed, not owned; null means "no span recording". Engines hand
-  /// the same recorder to every worker arena (lanes are per-thread, so
+  /// Borrowed, not owned; null means "no span recording". WorkerTelemetry
+  /// hands the same recorder to every worker (lanes are per-thread, so
   /// sharing is free); sites open spans with obs::ScopedSpan.
   SpanRecorder *Spans = nullptr;
 
   /// Folds a worker arena's counter registry into this one (counters add,
-  /// gauges max). The parallel engines give every pool worker a private
-  /// Telemetry and fold the arenas back through this after the join; the
-  /// lock makes concurrent folds safe. Timers and traces stay
-  /// orchestrator-only — they are ordered artifacts, not tallies.
+  /// gauges max). WorkerTelemetry folds its private worker registries
+  /// back through this after the join; the lock makes concurrent folds
+  /// safe. Timers and traces stay orchestrator-only — they are ordered
+  /// artifacts, not tallies.
   void mergeCounters(const Stats &S) {
     std::lock_guard<std::mutex> L(MergeMu);
     Counters.merge(S);
@@ -68,6 +70,32 @@ struct Telemetry {
 
 private:
   std::mutex MergeMu;
+};
+
+/// The telemetry each worker of one fan-out records into — the only place
+/// an engine builds worker telemetry. With one worker it hands out the
+/// caller's own Telemetry, so timers, trace events and run.final land
+/// exactly where an unparallelized run puts them. With more, every worker
+/// gets a private counter registry sharing the caller's span recorder;
+/// merge() folds the registries back after the join.
+class WorkerTelemetry {
+public:
+  /// \p Caller may be null (telemetry off); \p Workers is the fan-out
+  /// width (exec::fanOutWidth).
+  WorkerTelemetry(Telemetry *Caller, unsigned Workers);
+
+  /// The telemetry worker \p W records into (null iff the caller's is).
+  Telemetry *operator[](unsigned W) const {
+    return Private.empty() ? Caller : Private[W].get();
+  }
+
+  /// Folds the private registries into the caller's. Call once, after the
+  /// join and before the caller emits its own totals.
+  void merge();
+
+private:
+  Telemetry *Caller;
+  std::vector<std::unique_ptr<Telemetry>> Private;
 };
 
 } // namespace pseq::obs

@@ -14,10 +14,8 @@
 #include "seq/SimpleRefinement.h"
 #include "sym/SymEngine.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <string>
 
 using namespace pseq;
@@ -139,37 +137,30 @@ ValidationResult pseq::validateTransform(const Program &Src,
 
   // (pass, thread) checks are independent; with several program threads and
   // a multi-threaded config they fan out across the pool against per-worker
-  // configs (private telemetry arenas, merged after the join). Records fold
-  // in thread order through the first failure, so the verdict and
-  // counterexample match the sequential loop for every worker count.
+  // configs. Records fold in thread order through the first failure, and
+  // the first-failure bound skips exactly the threads a one-worker run
+  // never reaches, so the verdict and counterexample are the same for every
+  // worker count.
   std::vector<ThreadRecord> Records(NumT);
-  unsigned N = std::min(exec::resolveThreads(Cfg.NumThreads), NumT);
-  if (N > 1 && !exec::ThreadPool::insideWorker()) {
-    std::vector<std::unique_ptr<obs::Telemetry>> WTelems;
-    std::vector<SeqConfig> WCfgs(N, Cfg);
-    if (Telem)
-      for (unsigned W = 0; W != N; ++W) {
-        WTelems.push_back(std::make_unique<obs::Telemetry>());
-        WCfgs[W].Telem = WTelems.back().get();
-      }
-    exec::parallelFor(
-        N, NumT,
-        [&](size_t T, unsigned W) {
-          checkThread(static_cast<unsigned>(T), WCfgs[W], Records[T]);
-        },
-        Guard ? &Guard->stopFlag() : nullptr);
-    if (Telem)
-      for (const std::unique_ptr<obs::Telemetry> &WT : WTelems)
-        Telem->mergeCounters(WT->Counters);
-  } else {
-    for (unsigned T = 0; T != NumT; ++T) {
-      if (Guard && Guard->checkpoint() != TruncationCause::None)
-        break; // remaining threads fold as bounded-skipped below
-      checkThread(T, Cfg, Records[T]);
-      if (!Records[T].Holds)
-        break;
-    }
-  }
+  unsigned N = exec::fanOutWidth(Cfg.NumThreads, NumT);
+  obs::WorkerTelemetry WTelem(Telem, N);
+  std::vector<SeqConfig> WCfgs(N, Cfg);
+  for (unsigned W = 0; W != N; ++W)
+    WCfgs[W].Telem = WTelem[W];
+  exec::FirstFailure Fail(NumT);
+  exec::parallelFor(
+      N, NumT,
+      [&](size_t T, unsigned W) {
+        if (Fail.past(T))
+          return;
+        if (Guard && Guard->checkpoint() != TruncationCause::None)
+          return; // remaining threads fold as bounded-skipped below
+        checkThread(static_cast<unsigned>(T), WCfgs[W], Records[T]);
+        if (!Records[T].Holds)
+          Fail.note(T);
+      },
+      Guard ? &Guard->stopFlag() : nullptr);
+  WTelem.merge();
 
   for (unsigned T = 0; T != NumT; ++T) {
     ThreadRecord &Rec = Records[T];

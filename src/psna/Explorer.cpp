@@ -19,6 +19,7 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 using namespace pseq;
@@ -213,29 +214,31 @@ struct WorkItem {
   uint32_t Sleep = 0;
 };
 
-/// One frontier state's successors, concatenated in thread order, with
-/// the per-thread counts the explorers tally. With pruning on, SuccSleep
+/// One frontier state's outcome: the behavior it records when it is
+/// terminal, else its successors, concatenated in thread order, with the
+/// per-thread counts the explorer tallies. With pruning on, SuccSleep
 /// carries each successor's sleep mask and PrunedSkips counts the
 /// thread-expansions the sleep set suppressed.
 struct PsExpansion {
+  std::optional<PsBehavior> Final;
   std::vector<PsMachineState> Succs;
   std::vector<uint32_t> SuccSleep;
   std::vector<uint32_t> PerThread;
   uint32_t PrunedSkips = 0;
   /// Machine-counter deltas for this expansion (racy transitions enabled,
-  /// NAMsg markers emitted), merged by the explorers in pop order so the
+  /// NAMsg markers emitted), merged by the explorer in pop order so the
   /// totals are deterministic for every worker count.
   uint64_t RaceSteps = 0;
   uint64_t NaMarkers = 0;
 };
 
 /// Expands \p S under sleep mask \p Sleep — a pure function of its inputs,
-/// so the sequential loop and the parallel workers compute byte-identical
-/// expansions. Sleep-set maintenance is the classic scheme at thread
-/// granularity: expanding threads in index order, the successor taken via
-/// thread t puts to sleep every earlier-expanded or already-sleeping
-/// thread whose footprint is independent of t's (its interleavings are
-/// explored via the sibling branch where it moved first).
+/// so every worker computes byte-identical expansions. Sleep-set
+/// maintenance is the classic scheme at thread granularity: expanding
+/// threads in index order, the successor taken via thread t puts to sleep
+/// every earlier-expanded or already-sleeping thread whose footprint is
+/// independent of t's (its interleavings are explored via the sibling
+/// branch where it moved first).
 void expandState(const Program &P, const PsMachine &M, const PruneInfo &PI,
                  const PsMachineState &S, uint32_t Sleep, PsExpansion &E) {
   unsigned NT = static_cast<unsigned>(S.Threads.size());
@@ -284,217 +287,28 @@ uint64_t nowMonotonicNs() {
           .count());
 }
 
-PsBehaviorSet explorePsnaSequential(const Program &P, const PsConfig &Cfg) {
-  PsMachine M(P, Cfg);
-  PsBehaviorSet Result;
-  PruneInfo PI = makePruneInfo(P, Cfg);
-  // With pruning on, dedup moves to the fingerprint table (which also
-  // stores the sleep masks); otherwise the exact legacy set is kept.
-  std::unordered_set<PsMachineState, StateHash> Visited;
-  memo::VisitedSet PrunedVisited(PI.On ? (size_t(1) << 16) : 64);
-  auto visitedCount = [&] {
-    return PI.On ? PrunedVisited.size() : uint64_t(Visited.size());
-  };
-  std::unordered_set<PsBehavior, BehaviorHash> Behaviors;
-  std::deque<WorkItem> Work;
-
-  obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "psna.explore");
-  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "psna.explore");
-  obs::ScopedTally Tally(Telem ? &Telem->Counters : nullptr);
-  uint64_t &Runs = Tally.slot("psna.explore.runs");
-  uint64_t &Expanded = Tally.slot("psna.explore.states_expanded");
-  uint64_t &DedupHits = Tally.slot("psna.explore.dedup_hits");
-  uint64_t &Emitted = Tally.slot("psna.explore.behaviors");
-  // Per-thread successor counts (dynamic names, so outside the tally).
-  std::vector<uint64_t> ThreadSteps(P.numThreads(), 0);
-  uint64_t PrunedSkips = 0, Requeues = 0;
-  uint64_t RaceSteps = 0, NaMarkers = 0;
-  size_t MaxFrontier = 1;
-  ++Runs;
-
-  PsMachineState Init = M.initialState();
-  Init.normalize();
-  if (PI.On)
-    PrunedVisited.insertOrMerge(psStateFingerprint(Init), 0);
-  else
-    Visited.insert(Init);
-  Work.push_back(WorkItem{std::move(Init), 0});
-
-  auto record = [&](PsBehavior B) {
-    if (Behaviors.insert(B).second) {
-      ++Emitted;
-      Result.All.push_back(std::move(B));
-    }
-  };
-
-  guard::ResourceGuard *G = Cfg.Guard;
-  while (!Work.empty()) {
-    if (visitedCount() > Cfg.MaxStates) {
-      noteTruncation(Result.Cause, TruncationCause::StateBudget);
-      break;
-    }
-    if (G) {
-      // One checkpoint per pop, exactly where the state cap is checked.
-      TruncationCause C = G->checkpoint();
-      if (C != TruncationCause::None) {
-        noteTruncation(Result.Cause, C);
-        break;
-      }
-    }
-    MaxFrontier = std::max(MaxFrontier, Work.size());
-    if (Telem)
-      // Frontier sizes are a pure function of the BFS — the same sample
-      // sequence appears at the parallel merge loop's pops, keeping the
-      // histogram bit-identical for every worker count.
-      Telem->Counters.recordHist("psna.explore.frontier", Work.size());
-    WorkItem Item = std::move(Work.front());
-    Work.pop_front();
-    ++Expanded;
-
-    if (Item.S.Bottom) {
-      record(PsBehavior::ub());
-      continue;
-    }
-    if (Item.S.allDone()) {
-      PsBehavior B;
-      for (const PsThread &T : Item.S.Threads)
-        B.Rets.push_back(T.Prog.retVal());
-      B.Outs = Item.S.Outs;
-      record(std::move(B));
-      continue;
-    }
-    PsExpansion E;
-    uint64_t StepT0 = Telem ? nowMonotonicNs() : 0;
-    expandState(P, M, PI, Item.S, Item.Sleep, E);
-    if (Telem)
-      Telem->Counters.recordHist("psna.step.us",
-                                 (nowMonotonicNs() - StepT0) / 1000);
-    for (size_t Tid = 0; Tid != E.PerThread.size(); ++Tid)
-      ThreadSteps[Tid] += E.PerThread[Tid];
-    PrunedSkips += E.PrunedSkips;
-    RaceSteps += E.RaceSteps;
-    NaMarkers += E.NaMarkers;
-    for (size_t X = 0; X != E.Succs.size(); ++X) {
-      PsMachineState &Next = E.Succs[X];
-      if (!PI.On) {
-        if (Visited.insert(Next).second) {
-          if (G)
-            G->charge(approxStateBytes(Next));
-          Work.push_back(WorkItem{std::move(Next), 0});
-        } else {
-          ++DedupHits;
-        }
-        continue;
-      }
-      memo::VisitedSet::Outcome O =
-          PrunedVisited.insertOrMerge(psStateFingerprint(Next), E.SuccSleep[X]);
-      if (O.Inserted) {
-        if (G)
-          G->charge(approxStateBytes(Next));
-        Work.push_back(WorkItem{std::move(Next), O.Mask});
-      } else if (O.Shrunk) {
-        // State-caching correction: a revisit under a strictly smaller
-        // sleep set re-enqueues the state so the newly-awake threads get
-        // expanded (masks only shrink, so this terminates).
-        ++Requeues;
-        Work.push_back(WorkItem{std::move(Next), O.Mask});
-      } else {
-        ++DedupHits;
-      }
-    }
-  }
-  if (G && G->stopped())
-    noteTruncation(Result.Cause, G->cause());
-
-  if (M.certBudgetHit())
-    noteTruncation(Result.Cause, TruncationCause::CertBudget);
-  Result.StatesExplored = static_cast<unsigned>(visitedCount());
-  Result.RaceSteps = RaceSteps;
-  Result.NaMarkers = NaMarkers;
-  if (Telem) {
-    Telem->Counters.add("psna.explore.race_steps", RaceSteps);
-    Telem->Counters.add("psna.na_markers", NaMarkers);
-  }
-  if (PI.On) {
-    Cfg.Memo->notePruned(PrunedSkips);
-    if (Telem) {
-      Telem->Counters.add("memo.pruned_states", PrunedSkips);
-      Telem->Counters.add("psna.explore.sleep_requeues", Requeues);
-    }
-  }
-
-  if (Telem) {
-    Telem->Counters.maxGauge("psna.explore.max_frontier",
-                             static_cast<double>(MaxFrontier));
-    Telem->Counters.recordHist("psna.explore.behavior_set",
-                               Result.All.size());
-    for (size_t Tid = 0; Tid != ThreadSteps.size(); ++Tid)
-      Telem->Counters.add("psna.explore.thread" + std::to_string(Tid) +
-                              ".steps",
-                          ThreadSteps[Tid]);
-    if (Telem->tracing())
-      Telem->trace("psna.explore",
-                   {{"states", uint64_t(Result.StatesExplored)},
-                    {"behaviors", uint64_t(Result.All.size())},
-                    {"dedup_hits", DedupHits},
-                    {"cause", truncationCauseName(Result.Cause)},
-                    {"ms", Timer.stop()}});
-    if (isGuardCause(Result.Cause))
-      Telem->finalSnapshot(truncationCauseName(Result.Cause));
-  }
-  return Result;
-}
-
-/// Per-worker arenas: machine copies whose telemetry (if any) is a private
-/// registry, folded into the orchestrator's after the exploration.
-struct PsArenas {
-  std::vector<std::unique_ptr<obs::Telemetry>> Telems;
-  std::vector<std::unique_ptr<PsMachine>> Machines;
-
-  PsArenas(const Program &P, const PsConfig &Cfg, unsigned N) {
-    for (unsigned W = 0; W != N; ++W) {
-      PsConfig WCfg = Cfg;
-      if (WCfg.Telem) {
-        Telems.push_back(std::make_unique<obs::Telemetry>());
-        // Workers share the orchestrator's span recorder (it is per-thread
-        // internally); counters/histograms stay private and merge below.
-        Telems.back()->Spans = Cfg.Telem->Spans;
-        WCfg.Telem = Telems.back().get();
-      }
-      Machines.push_back(std::make_unique<PsMachine>(P, WCfg));
-    }
-  }
-
-  void mergeInto(obs::Telemetry *Telem) {
-    if (!Telem)
-      return;
-    for (const std::unique_ptr<obs::Telemetry> &WT : Telems)
-      Telem->mergeCounters(WT->Counters);
-  }
-
-  bool certBudgetHit() const {
-    for (const std::unique_ptr<PsMachine> &M : Machines)
-      if (M->certBudgetHit())
-        return true;
-    return false;
-  }
-};
-
-/// Level-synchronous parallel BFS. Each round expands the whole current
-/// frontier across the pool, then merges expansions *in pop order*, with
-/// the MaxStates check re-run before each merged index exactly where the
-/// sequential loop checks it before each pop. The merged Visited/Work
-/// evolution is therefore identical to the sequential explorer's —
+/// Level-synchronous BFS, the one exploration loop for every worker count.
+/// Each round expands the whole current frontier across the pool (inline
+/// at one worker), then merges expansions *in pop order*, with the
+/// MaxStates check re-run before each merged index. The merged
+/// Visited/Work evolution is therefore a function of the level alone —
 /// behaviors, insertion order, StatesExplored, and the truncation cause
 /// match for every worker count, even mid-level truncation. (A truncating
-/// round expands frontier states the sequential loop never pops; their
-/// results are discarded, costing only wasted work, and their
-/// certification searches cannot change any verdict because every search
-/// carries its own private node budget.)
-PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
-                                  unsigned N) {
-  PsArenas Arenas(P, Cfg, N);
+/// round expands frontier states the merge never pops; their results are
+/// discarded, costing only wasted work, and their certification searches
+/// cannot change any verdict because every search carries its own private
+/// node budget.) A guard trip stops the run at the start of the merge of
+/// the level it tripped in, so guarded runs also stop at the same level
+/// for every worker count.
+PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
+  unsigned N = exec::fanOutWidth(Cfg.NumThreads);
+  obs::WorkerTelemetry WTelem(Cfg.Telem, N);
+  std::vector<std::unique_ptr<PsMachine>> Machines;
+  for (unsigned W = 0; W != N; ++W) {
+    PsConfig WCfg = Cfg;
+    WCfg.Telem = WTelem[W];
+    Machines.push_back(std::make_unique<PsMachine>(P, WCfg));
+  }
   PsBehaviorSet Result;
   PruneInfo PI = makePruneInfo(P, Cfg);
   std::unordered_set<PsMachineState, StateHash> Visited;
@@ -519,7 +333,7 @@ PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
   size_t MaxFrontier = 1;
   ++Runs;
 
-  PsMachineState Init = Arenas.Machines[0]->initialState();
+  PsMachineState Init = Machines[0]->initialState();
   Init.normalize();
   if (PI.On)
     PrunedVisited.insertOrMerge(psStateFingerprint(Init), 0);
@@ -546,19 +360,29 @@ PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
         [&](size_t I, unsigned W) {
           if (G && G->checkpoint() != TruncationCause::None)
             return; // drained; the merge below stops at the trip anyway
-          const WorkItem &Item = Work[I];
-          if (Item.S.Bottom || Item.S.allDone())
+          // The state turns into its outcome here and is freed at once, so
+          // its memory is reused by the next expansion instead of piling
+          // up until the merge.
+          PsMachineState S = std::move(Work[I].S);
+          PsExpansion &E = Level[I];
+          if (S.Bottom) {
+            E.Final = PsBehavior::ub();
             return;
-          // Pure function of (state, mask): workers compute exactly what
-          // the sequential loop would; all VisitedSet decisions stay in
-          // the single-threaded merge below, so results are bit-identical
-          // for every worker count, pruning on or off.
-          obs::Telemetry *WT =
-              Arenas.Telems.empty() ? nullptr : Arenas.Telems[W].get();
+          }
+          if (S.allDone()) {
+            E.Final.emplace();
+            for (const PsThread &T : S.Threads)
+              E.Final->Rets.push_back(T.Prog.retVal());
+            E.Final->Outs = std::move(S.Outs);
+            return;
+          }
+          // Pure function of (state, mask): all VisitedSet decisions stay
+          // in the single-threaded merge below, so results are
+          // bit-identical for every worker count, pruning on or off.
+          obs::Telemetry *WT = WTelem[W];
           obs::ScopedSpan ExpandSpan(WT ? WT->Spans : nullptr, "psna.expand");
           uint64_t StepT0 = WT ? nowMonotonicNs() : 0;
-          expandState(P, *Arenas.Machines[W], PI, Item.S, Item.Sleep,
-                      Level[I]);
+          expandState(P, *Machines[W], PI, S, Work[I].Sleep, E);
           if (WT)
             WT->Counters.recordHist("psna.step.us",
                                     (nowMonotonicNs() - StepT0) / 1000);
@@ -581,24 +405,19 @@ PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
       }
       MaxFrontier = std::max(MaxFrontier, Work.size());
       if (Telem)
+        // Frontier sizes are a pure function of the BFS, so the histogram
+        // is bit-identical for every worker count.
         Telem->Counters.recordHist("psna.explore.frontier", Work.size());
-      WorkItem Item = std::move(Work.front());
       Work.pop_front();
       ++Expanded;
 
-      if (Item.S.Bottom) {
-        record(PsBehavior::ub());
+      // Taken out of the level so its successors are released as soon as
+      // they are merged, not held until the whole level is done.
+      PsExpansion E = std::move(Level[I]);
+      if (E.Final) {
+        record(std::move(*E.Final));
         continue;
       }
-      if (Item.S.allDone()) {
-        PsBehavior B;
-        for (const PsThread &T : Item.S.Threads)
-          B.Rets.push_back(T.Prog.retVal());
-        B.Outs = Item.S.Outs;
-        record(std::move(B));
-        continue;
-      }
-      PsExpansion &E = Level[I];
       for (size_t Tid = 0; Tid != E.PerThread.size(); ++Tid)
         ThreadSteps[Tid] += E.PerThread[Tid];
       PrunedSkips += E.PrunedSkips;
@@ -623,6 +442,9 @@ PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
             G->charge(approxStateBytes(Next));
           Work.push_back(WorkItem{std::move(Next), O.Mask});
         } else if (O.Shrunk) {
+          // State-caching correction: a revisit under a strictly smaller
+          // sleep set re-enqueues the state so the newly-awake threads get
+          // expanded (masks only shrink, so this terminates).
           ++Requeues;
           Work.push_back(WorkItem{std::move(Next), O.Mask});
         } else {
@@ -632,9 +454,10 @@ PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
     }
   }
 
-  Arenas.mergeInto(Telem);
-  if (Arenas.certBudgetHit())
-    noteTruncation(Result.Cause, TruncationCause::CertBudget);
+  WTelem.merge();
+  for (const std::unique_ptr<PsMachine> &M : Machines)
+    if (M->certBudgetHit())
+      noteTruncation(Result.Cause, TruncationCause::CertBudget);
   if (G && G->stopped())
     noteTruncation(Result.Cause, G->cause());
   Result.StatesExplored = static_cast<unsigned>(visitedCount());
@@ -768,10 +591,7 @@ PsBehaviorSet pseq::explorePsna(const Program &P, const PsConfig &Cfg) {
     if (ECfg.Telem)
       ECfg.Telem->Counters.add("memo.misses", 1);
   }
-  unsigned N = exec::resolveThreads(ECfg.NumThreads);
-  PsBehaviorSet R = (N <= 1 || exec::ThreadPool::insideWorker())
-                        ? explorePsnaSequential(P, ECfg)
-                        : explorePsnaParallel(P, ECfg, N);
+  PsBehaviorSet R = exploreLevels(P, ECfg);
   // Guard causes (deadline, memory, cancellation) are timing-dependent;
   // such results must never answer for a future run.
   if (UseCache && !isGuardCause(R.Cause))

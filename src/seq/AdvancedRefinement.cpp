@@ -7,6 +7,7 @@
 
 #include "seq/AdvancedRefinement.h"
 
+#include "guard/Guard.h"
 #include "obs/Telemetry.h"
 #include "seq/InitSweep.h"
 #include "seq/OracleGame.h"
@@ -191,6 +192,14 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
         R.Cause = Tgt.Cause;
         R.TgtBehaviors = Tgt.All.size();
         for (const SeqBehavior &TB : Tgt.All) {
+          // Matching dominates a loop program's check, so the guard is
+          // polled once per target behavior, not just per initial state.
+          if (guard::ResourceGuard *G = SM.config().Guard;
+              G && G->checkpoint() != TruncationCause::None) {
+            R.Bounded = true;
+            noteTruncation(R.Cause, G->cause());
+            return;
+          }
           Matcher M(SM, TB, Cfg.Universe, NodeBudget);
           bool Matched = M.run(SrcInits[Idx]);
           if (M.budgetHit()) {

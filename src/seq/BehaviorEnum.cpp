@@ -473,35 +473,20 @@ void foldTallies(obs::Telemetry *Telem, const EnumTallies &T) {
   Telem->Counters.maxGauge("seq.enum.max_depth", T.MaxDepth);
 }
 
-/// Per-worker arenas for the parallel paths: each worker gets a machine
-/// copy whose telemetry (if any) is a private registry, folded into the
-/// orchestrator's registry after the pool joins.
-struct WorkerArenas {
-  std::vector<std::unique_ptr<obs::Telemetry>> Telems;
-  std::vector<std::unique_ptr<SeqMachine>> Machines;
-
-  WorkerArenas(const SeqMachine &M, unsigned N) {
-    for (unsigned W = 0; W != N; ++W) {
-      SeqConfig WCfg = M.config();
-      if (WCfg.Telem) {
-        Telems.push_back(std::make_unique<obs::Telemetry>());
-        // Workers share the orchestrator's span recorder (per-thread lanes
-        // internally); counters/histograms stay private and merge below.
-        Telems.back()->Spans = WCfg.Telem->Spans;
-        WCfg.Telem = Telems.back().get();
-      }
-      Machines.push_back(
-          std::make_unique<SeqMachine>(M.program(), M.tid(), std::move(WCfg)));
-    }
+/// One machine copy per fan-out worker, stepping \p M's program with that
+/// worker's telemetry.
+std::vector<SeqMachine> workerMachines(const SeqMachine &M,
+                                       const obs::WorkerTelemetry &WTelem,
+                                       unsigned N) {
+  std::vector<SeqMachine> Out;
+  Out.reserve(N);
+  for (unsigned W = 0; W != N; ++W) {
+    SeqConfig WCfg = M.config();
+    WCfg.Telem = WTelem[W];
+    Out.emplace_back(M.program(), M.tid(), std::move(WCfg));
   }
-
-  void mergeInto(obs::Telemetry *Telem) {
-    if (!Telem)
-      return;
-    for (const std::unique_ptr<obs::Telemetry> &WT : Telems)
-      Telem->mergeCounters(WT->Counters);
-  }
-};
+  return Out;
+}
 
 BehaviorSet enumerateSequential(const SeqMachine &M, const SeqState &Init,
                                 EnumTallies &Out) {
@@ -548,7 +533,8 @@ BehaviorSet enumerateParallel(const SeqMachine &M, const SeqState &Init,
   // approximately here, via a shared count of unique-per-worker emissions,
   // and exactly at merge below.
   std::atomic<uint64_t> UniqueCount{Root.tallies().Emitted};
-  WorkerArenas Arenas(M, N);
+  obs::WorkerTelemetry WTelem(Cfg.Telem, N);
+  std::vector<SeqMachine> Machines = workerMachines(M, WTelem, N);
   std::vector<BehaviorSet> TaskSets(Tasks.size());
   std::vector<EnumTallies> TaskTallies(Tasks.size());
   exec::WorkDequeSet<size_t> Deques(N);
@@ -557,15 +543,14 @@ BehaviorSet enumerateParallel(const SeqMachine &M, const SeqState &Init,
   exec::ThreadPool::global().run(
       N,
       [&](unsigned W) {
-        obs::Telemetry *WT =
-            Arenas.Telems.empty() ? nullptr : Arenas.Telems[W].get();
+        obs::Telemetry *WT = WTelem[W];
         while (std::optional<size_t> Idx = Deques.next(W)) {
           if (Cfg.Guard && Cfg.Guard->stopped())
             continue; // drain remaining tasks; verdict comes from the guard
           EnumTask &Tk = Tasks[*Idx];
           obs::ScopedSpan TaskSpan(WT ? WT->Spans : nullptr, "seq.task");
           uint64_t TaskT0 = WT ? nowMonotonicNs() : 0;
-          DfsEnumerator E(*Arenas.Machines[W], &UniqueCount);
+          DfsEnumerator E(Machines[W], &UniqueCount);
           E.explore(Tk.State, std::move(Tk.Trace), Tk.StepsLeft);
           TaskSets[*Idx] = E.take();
           TaskTallies[*Idx] = E.tallies();
@@ -575,7 +560,7 @@ BehaviorSet enumerateParallel(const SeqMachine &M, const SeqState &Init,
         }
       },
       Cfg.Guard ? &Cfg.Guard->stopFlag() : nullptr);
-  Arenas.mergeInto(Cfg.Telem);
+  WTelem.merge();
 
   // Phase 3 (orchestrator): merge per-task results in task order with
   // global dedup. Behaviors are emitted counters-exact: Emitted counts the
@@ -601,15 +586,16 @@ BehaviorSet enumerateParallel(const SeqMachine &M, const SeqState &Init,
 
 BehaviorSet pseq::enumerateBehaviors(const SeqMachine &M,
                                      const SeqState &Init) {
-  unsigned N = exec::resolveThreads(M.config().NumThreads);
+  // Two algorithms, not two copies of one: a single worker runs the plain
+  // DFS, several split the tree breadth-first into subtree tasks.
+  unsigned N = exec::fanOutWidth(M.config().NumThreads);
   obs::Telemetry *Telem = M.config().Telem;
   obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "seq.enum");
   EnumTallies T;
-  BehaviorSet R = (N <= 1 || exec::ThreadPool::insideWorker())
-                      ? enumerateSequential(M, Init, T)
-                      : enumerateParallel(M, Init, N, T);
-  // Canonical order: both paths sort, so the vector is identical for every
-  // NumThreads (the parallel merge alone would leave task-generation
+  BehaviorSet R = N == 1 ? enumerateSequential(M, Init, T)
+                         : enumerateParallel(M, Init, N, T);
+  // Canonical order: both algorithms sort, so the vector is identical for
+  // every NumThreads (the parallel merge alone would leave task-generation
   // prefixes first).
   std::sort(R.All.begin(), R.All.end(), behaviorLess);
   // A tripped guard always surfaces in the set's cause, even when the trip
@@ -635,27 +621,19 @@ BehaviorSet pseq::enumerateBehaviors(const SeqMachine &M,
 std::vector<BehaviorSet>
 pseq::enumerateBehaviorsBatch(const SeqMachine &M,
                               const std::vector<SeqState> &Inits) {
-  unsigned N = exec::resolveThreads(M.config().NumThreads);
-  std::vector<BehaviorSet> Out(Inits.size());
-  if (N <= 1 || exec::ThreadPool::insideWorker() || Inits.size() <= 1) {
-    for (size_t I = 0, E = Inits.size(); I != E; ++I)
-      Out[I] = enumerateBehaviors(M, Inits[I]);
-    return Out;
-  }
   // Initial states fan out across the pool; each per-init enumeration runs
-  // on a pool worker and therefore degrades to its sequential path, which
-  // is exactly the deterministic per-init result.
-  WorkerArenas Arenas(M, N);
-  exec::parallelFor(
-      N, Inits.size(),
-      [&](size_t I, unsigned W) {
-        Out[I] = enumerateBehaviors(*Arenas.Machines[W], Inits[I]);
-      },
-      M.config().Guard ? &M.config().Guard->stopFlag() : nullptr);
-  Arenas.mergeInto(M.config().Telem);
-  if (guard::ResourceGuard *G = M.config().Guard; G && G->stopped())
-    for (BehaviorSet &S : Out)
-      noteTruncation(S.Cause, G->cause());
+  // on a pool worker (or inline at one worker) and therefore takes its
+  // single-worker path, which is exactly the deterministic per-init result.
+  // None is drained on a guard trip: each enumeration polls the guard and
+  // comes back truncated, as in a one-worker run.
+  unsigned N = exec::fanOutWidth(M.config().NumThreads, Inits.size());
+  obs::WorkerTelemetry WTelem(M.config().Telem, N);
+  std::vector<SeqMachine> Machines = workerMachines(M, WTelem, N);
+  std::vector<BehaviorSet> Out(Inits.size());
+  exec::parallelFor(N, Inits.size(), [&](size_t I, unsigned W) {
+    Out[I] = enumerateBehaviors(Machines[W], Inits[I]);
+  });
+  WTelem.merge();
   return Out;
 }
 

@@ -58,7 +58,12 @@ bool Server::start(std::string &Err) {
 }
 
 void Server::requestStop() {
-  Stopping.store(true, std::memory_order_release);
+  {
+    // Published under QueueMu: a worker that has just found the queue
+    // empty holds it until it is waiting, so it cannot miss the notify.
+    std::lock_guard<std::mutex> Lock(QueueMu);
+    Stopping.store(true, std::memory_order_release);
+  }
   QueueCv.notify_all();
 }
 

@@ -67,9 +67,14 @@ constexpr bool isGuardCause(TruncationCause C) {
 }
 
 /// Keeps the first recorded cause: the budget that fired first explains the
-/// truncation; later ones are downstream noise.
+/// truncation; later ones are downstream noise. The one exception is a
+/// guard cause, which displaces a work-item budget: the guard cut the run
+/// at an arbitrary point, which consumers must see (isGuardCause) to
+/// degrade to bounded instead of trusting the prefix, and it is the limit
+/// the caller has to raise.
 inline void noteTruncation(TruncationCause &Slot, TruncationCause C) {
-  if (Slot == TruncationCause::None)
+  if (Slot == TruncationCause::None ||
+      (isGuardCause(C) && !isGuardCause(Slot)))
     Slot = C;
 }
 

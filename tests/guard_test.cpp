@@ -32,6 +32,7 @@
 #include "opt/Validator.h"
 #include "psna/Explorer.h"
 #include "seq/AdvancedRefinement.h"
+#include "seq/BehaviorEnum.h"
 #include "seq/InitSweep.h"
 #include "seq/SimpleRefinement.h"
 #include "seq/Simulation.h"
@@ -360,6 +361,58 @@ TEST(EngineGovernanceTest, MidRunCancellationIsDeterministicSingleThreaded) {
   EXPECT_EQ(A.SrcBehaviors, B.SrcBehaviors);
   EXPECT_EQ(A.TgtBehaviors, B.TgtBehaviors);
   EXPECT_EQ(A.Counterexample, B.Counterexample);
+}
+
+TEST(EngineGovernanceTest, AdvancedMatcherPollsTheGuard) {
+  // One initial state (no non-atomic locations) and several target
+  // behaviors (the atomic reads may return any domain value).
+  auto P = parse("atomic z;\n"
+                 "thread { a := z@rlx; b := z@rlx; return a + b; }\n");
+  // Count the checkpoints the target enumeration takes on its own.
+  guard::ResourceGuard Probe;
+  SeqMachine TM(*P, 0, governedSeq(&Probe));
+  std::vector<SeqState> Inits = enumerateInitialStates(TM);
+  ASSERT_EQ(Inits.size(), 1u);
+  BehaviorSet Tgt = enumerateBehaviors(TM, Inits[0]);
+  ASSERT_FALSE(Tgt.truncated());
+  ASSERT_GT(Tgt.All.size(), 1u);
+  const uint64_t EnumPolls = Probe.checkpointPolls();
+
+  // One poll for the initial state plus the enumeration's polls succeed;
+  // the next checkpoint — the matcher's first — trips.
+  guard::CancellationToken Tok;
+  Tok.tripAfterPolls(1 + EnumPolls);
+  guard::ResourceGuard G;
+  G.setToken(&Tok);
+  RefinementResult R = checkAdvancedRefinement(*P, *P, governedSeq(&G));
+  EXPECT_TRUE(R.Holds) << "an unfinished match must not report failure";
+  EXPECT_TRUE(R.Bounded) << "the trip during matching must be reported";
+  EXPECT_EQ(R.Cause, TruncationCause::Cancelled);
+}
+
+TEST(EngineGovernanceTest, GuardCauseDisplacesBudgetCause) {
+  // A loop program truncated by the step budget in every initial state,
+  // then cut short by the guard: the guard is what the verdict names.
+  auto P = parse("na x;\n"
+                 "thread { c := choose; while (c != 0) { a := x@na; "
+                 "c := choose; } return 0; }\n");
+  auto Cfg = [](guard::ResourceGuard *G) {
+    SeqConfig C = governedSeq(G);
+    C.Domain = ValueDomain::binary();
+    C.StepBudget = 8;
+    return C;
+  };
+  guard::ResourceGuard Probe;
+  RefinementResult Full = checkAdvancedRefinement(*P, *P, Cfg(&Probe));
+  ASSERT_EQ(Full.Cause, TruncationCause::StepBudget);
+  guard::CancellationToken Tok;
+  Tok.tripAfterPolls(Probe.checkpointPolls() / 2);
+  guard::ResourceGuard G;
+  G.setToken(&Tok);
+  RefinementResult R = checkAdvancedRefinement(*P, *P, Cfg(&G));
+  EXPECT_TRUE(R.Holds);
+  EXPECT_TRUE(R.Bounded);
+  EXPECT_EQ(R.Cause, TruncationCause::Cancelled);
 }
 
 TEST(EngineGovernanceTest, SeqDeadlineReportsDeadlineCause) {

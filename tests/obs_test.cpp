@@ -383,6 +383,43 @@ TEST(Truncation, FirstCauseWins) {
   EXPECT_EQ(C, TruncationCause::StepBudget);
 }
 
+TEST(Truncation, GuardCauseDisplacesBudgetCause) {
+  TruncationCause C = TruncationCause::None;
+  noteTruncation(C, TruncationCause::StepBudget);
+  noteTruncation(C, TruncationCause::Deadline);
+  EXPECT_EQ(C, TruncationCause::Deadline);
+  noteTruncation(C, TruncationCause::Cancelled); // guard vs guard: first
+  noteTruncation(C, TruncationCause::CertBudget);
+  EXPECT_EQ(C, TruncationCause::Deadline);
+}
+
+//===----------------------------------------------------------------------===//
+// Worker telemetry for a fan-out
+//===----------------------------------------------------------------------===//
+
+TEST(WorkerTelemetry, OneWorkerRecordsIntoTheCaller) {
+  Telemetry Caller;
+  WorkerTelemetry WT(&Caller, 1);
+  EXPECT_EQ(WT[0], &Caller);
+  WorkerTelemetry Off(nullptr, 4);
+  EXPECT_EQ(Off[3], nullptr);
+}
+
+TEST(WorkerTelemetry, WorkersShareSpansAndMergeCounters) {
+  Telemetry Caller;
+  SpanRecorder Spans;
+  Caller.Spans = &Spans;
+  WorkerTelemetry WT(&Caller, 3);
+  for (unsigned W = 0; W != 3; ++W) {
+    ASSERT_NE(WT[W], &Caller);
+    EXPECT_EQ(WT[W]->Spans, &Spans);
+    WT[W]->Counters.add("k", W + 1);
+  }
+  EXPECT_EQ(Caller.Counters.counter("k"), 0u);
+  WT.merge();
+  EXPECT_EQ(Caller.Counters.counter("k"), 6u);
+}
+
 //===----------------------------------------------------------------------===//
 // Counters-exact emission under memoization
 //===----------------------------------------------------------------------===//

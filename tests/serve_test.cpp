@@ -31,6 +31,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -55,6 +57,43 @@ using namespace pseq;
 #endif
 #ifndef PSEQ_TEST_TSAN
 #define PSEQ_TEST_TSAN 0
+#endif
+
+// Sanitizer runtimes intercept pthread_cond_wait themselves; the wrapper
+// below is only linked into plain glibc builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PSEQ_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) ||    \
+    __has_feature(memory_sanitizer)
+#define PSEQ_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__GLIBC__) && !defined(PSEQ_TEST_SANITIZED)
+#define PSEQ_TEST_WIDEN_CONDWAIT 1
+#else
+#define PSEQ_TEST_WIDEN_CONDWAIT 0
+#endif
+
+#if PSEQ_TEST_WIDEN_CONDWAIT
+#include <dlfcn.h>
+#include <pthread.h>
+
+/// While nonzero, every pthread_cond_wait in this binary sleeps that many
+/// microseconds before it starts waiting — still holding the mutex, after
+/// its caller found the predicate false. That stretches the window in
+/// which a notify sent without the mutex is lost from nanoseconds to
+/// milliseconds, so a lost wake-up shows on every run instead of rarely.
+static std::atomic<unsigned> CondWaitDelayUs{0};
+
+extern "C" int pthread_cond_wait(pthread_cond_t *Cv, pthread_mutex_t *Mu) {
+  using WaitFn = int (*)(pthread_cond_t *, pthread_mutex_t *);
+  static WaitFn Real =
+      reinterpret_cast<WaitFn>(dlsym(RTLD_NEXT, "pthread_cond_wait"));
+  if (unsigned Us = CondWaitDelayUs.load())
+    std::this_thread::sleep_for(std::chrono::microseconds(Us));
+  return Real(Cv, Mu);
+}
 #endif
 
 namespace {
@@ -887,6 +926,58 @@ TEST(ServerTest, QueuedJobsAreAnsweredShutdownOnDrain) {
     serve::closeFd(Fd);
   }
   H.stopAndJoin();
+}
+
+/// Starts an idle 2-worker server, stops it and runs it to completion.
+/// \returns false when run() did not return within the bound (it is then
+/// unstuck with repeated stop requests, so the test itself never hangs).
+bool idleStartStopReturns(const std::string &Socket,
+                          std::chrono::milliseconds HeadStart) {
+  serve::ServerOptions Opts;
+  Opts.SocketPath = Socket;
+  Opts.NumWorkers = 2;
+  serve::Server Srv(std::move(Opts));
+  std::string Err;
+  if (!Srv.start(Err)) {
+    ADD_FAILURE() << "server start failed: " << Err;
+    return true;
+  }
+  // Lets the freshly spawned workers reach their wait on the empty queue.
+  std::this_thread::sleep_for(HeadStart);
+  Srv.requestStop();
+  std::atomic<bool> Done{false};
+  std::thread Runner([&] {
+    Srv.run();
+    Done = true;
+  });
+  auto Bound = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!Done && std::chrono::steady_clock::now() < Bound)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  bool Returned = Done;
+  while (!Done) {
+    Srv.requestStop();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  Runner.join();
+  return Returned;
+}
+
+TEST(ServerTest, IdleStartStopAlwaysReturns) {
+  std::string Socket = makeTempDir() + "/srv.sock";
+  for (int I = 0; I != 200; ++I)
+    ASSERT_TRUE(idleStartStopReturns(Socket, std::chrono::milliseconds(0)))
+        << "run() hung after stop request " << I;
+#if PSEQ_TEST_WIDEN_CONDWAIT
+  // Each worker now checks for an empty queue, then holds the queue mutex
+  // for 50 ms before it waits; a stop published without that mutex lands
+  // inside the gap and is lost.
+  CondWaitDelayUs = 50000;
+  bool AllReturned = true;
+  for (int I = 0; I != 10 && AllReturned; ++I)
+    AllReturned = idleStartStopReturns(Socket, std::chrono::milliseconds(10));
+  CondWaitDelayUs = 0;
+  EXPECT_TRUE(AllReturned) << "run() hung: a worker missed the stop wake-up";
+#endif
 }
 
 #endif // PSEQ_TEST_POSIX
