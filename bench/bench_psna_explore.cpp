@@ -49,8 +49,12 @@ void runLitmus(benchmark::State &State, const LitmusCase &LC,
 }
 
 void registerAll() {
-  // Promise-budget sweep on the promise-sensitive cases.
-  for (const char *Name : {"ex5.1-promise-racy-read", "lb-rlx", "lb-rel"}) {
+  // Promise-budget sweep on the promise-sensitive cases, plus the corpus
+  // cases whose budget-2 runs cost the most certification work
+  // (EXPERIMENTS.md "Certification table").
+  for (const char *Name :
+       {"ex5.1-promise-racy-read", "lb-rlx", "lb-rel", "iriw-rel-acq",
+        "appB-split-writes", "2+2w-rlx"}) {
     const LitmusCase &LC = litmusCaseByName(Name);
     for (unsigned Budget : {0u, 1u, 2u}) {
       std::string Id = std::string("promises/") + Name + "/budget:" +

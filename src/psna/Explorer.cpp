@@ -230,6 +230,9 @@ struct PsExpansion {
   /// totals are deterministic for every worker count.
   uint64_t RaceSteps = 0;
   uint64_t NaMarkers = 0;
+  /// Certification verdicts searched during this expansion, inserted into
+  /// the exploration's CertTable when the expansion is merged.
+  CertTable Certs;
 };
 
 /// Expands \p S under sleep mask \p Sleep — a pure function of its inputs,
@@ -275,6 +278,16 @@ void expandState(const Program &P, const PsMachine &M, const PruneInfo &PI,
   }
   E.RaceSteps = M.raceSteps() - RaceBase;
   E.NaMarkers = M.naMarkers() - MarkerBase;
+  E.Certs = M.takeCertVerdicts();
+}
+
+/// Inserts the verdicts of one merged expansion (or one witness step) into
+/// \p Table, charging each new entry to the guard like a visited state.
+void mergeCertVerdicts(CertTable &Table, const CertTable &Certs,
+                       guard::ResourceGuard *G) {
+  for (const auto &[Key, V] : Certs)
+    if (Table.emplace(Key, V).second && G)
+      G->charge(CertEntryBytes);
 }
 
 /// Clock for the timing histograms (`.us`-suffixed keys, which the
@@ -300,6 +313,12 @@ uint64_t nowMonotonicNs() {
 /// node budget.) A guard trip stops the run at the start of the merge of
 /// the level it tripped in, so guarded runs also stop at the same level
 /// for every worker count.
+///
+/// Certification verdicts follow the same discipline: the workers only
+/// read the exploration's CertTable while a level expands (each expansion
+/// also reuses the verdicts it searched itself), and the merge inserts
+/// the verdicts of the expansions it pops. Which searches run — and so
+/// every psna.cert.* counter — is therefore a function of the level too.
 PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
   unsigned N = exec::fanOutWidth(Cfg.NumThreads);
   obs::WorkerTelemetry WTelem(Cfg.Telem, N);
@@ -309,6 +328,9 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
     WCfg.Telem = WTelem[W];
     Machines.push_back(std::make_unique<PsMachine>(P, WCfg));
   }
+  CertTable Certs;
+  for (const std::unique_ptr<PsMachine> &M : Machines)
+    M->setCertTable(&Certs);
   PsBehaviorSet Result;
   PruneInfo PI = makePruneInfo(P, Cfg);
   std::unordered_set<PsMachineState, StateHash> Visited;
@@ -418,6 +440,7 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
         record(std::move(*E.Final));
         continue;
       }
+      mergeCertVerdicts(Certs, E.Certs, G);
       for (size_t Tid = 0; Tid != E.PerThread.size(); ++Tid)
         ThreadSteps[Tid] += E.PerThread[Tid];
       PrunedSkips += E.PrunedSkips;
@@ -609,6 +632,9 @@ std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
   PsConfig ECfg = Cfg;
   resolveLint(P, ECfg);
   PsMachine M(P, ECfg);
+  // Single-threaded, so each step's verdicts go into the table at once.
+  CertTable Certs;
+  M.setCertTable(&Certs);
   // BFS with parent indices so the path can be reconstructed.
   std::vector<PsMachineState> States;
   std::vector<unsigned> Parent;
@@ -654,7 +680,9 @@ std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
     }
     unsigned NumThreads = static_cast<unsigned>(States[Idx].Threads.size());
     for (unsigned Tid = 0; Tid != NumThreads; ++Tid) {
-      for (PsMachineState &Next : M.threadSuccessors(States[Idx], Tid)) {
+      std::vector<PsMachineState> Succ = M.threadSuccessors(States[Idx], Tid);
+      mergeCertVerdicts(Certs, M.takeCertVerdicts(), Cfg.Guard);
+      for (PsMachineState &Next : Succ) {
         if (!Visited.insert(Next).second)
           continue;
         States.push_back(std::move(Next));

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <unordered_set>
 
 using namespace pseq;
@@ -72,69 +71,83 @@ std::string PsMachineState::str() const {
 void PsMachineState::normalize() {
   unsigned NumLocs = Mem.numLocs();
 
-  // Collect every timestamp mentioned per location: message endpoints,
-  // message-view entries, thread-view entries, promise ids. All ranked
-  // values are therefore in the maps by construction.
-  std::vector<std::map<Rational, Rational>> Rank(NumLocs);
-  auto note = [&](unsigned Loc, Rational T) {
-    Rank[Loc].emplace(T, Rational(0));
-  };
+  // Per location, the memory's endpoints 0 = init.To ≤ From_1 < To_1 ≤
+  // From_2 < ... are already sorted (messages are kept sorted by To and
+  // pairwise disjoint), so the rank table is their deduplicated sequence.
+  // Every view entry and promise id is some message's To, so the table
+  // holds every timestamp the state mentions. The tables are per-thread
+  // scratch: normalize runs once per generated state, and reusing their
+  // capacity keeps it allocation-free.
+  static thread_local std::vector<std::vector<Rational>> Times;
+  if (Times.size() < NumLocs)
+    Times.resize(NumLocs);
   for (unsigned Loc = 0; Loc != NumLocs; ++Loc) {
-    note(Loc, Rational(0));
-    for (const PsMessage &M : Mem.msgs(Loc)) {
-      note(Loc, M.From);
-      note(Loc, M.To);
-      if (M.MView.has_value())
-        for (unsigned L2 = 0; L2 != NumLocs; ++L2)
-          note(L2, M.MView->get(L2));
-    }
-  }
-  for (const PsThread &T : Threads) {
-    for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
-      note(Loc, T.V.get(Loc));
-    for (const MsgId &Id : T.Promises)
-      note(Id.Loc, Id.To);
+    std::vector<Rational> &Ts = Times[Loc];
+    Ts.clear();
+    Ts.push_back(Rational(0));
+    for (const PsMessage &M : Mem.msgs(Loc))
+      for (const Rational &T : {M.From, M.To}) {
+        assert(Ts.back() <= T && "message endpoints out of order");
+        if (Ts.back() != T)
+          Ts.push_back(T);
+      }
   }
 
-  for (unsigned Loc = 0; Loc != NumLocs; ++Loc) {
-    int64_t Next = 0;
-    for (auto &[Old, New] : Rank[Loc])
-      New = Rational(Next++);
-  }
-  auto remap = [&](unsigned Loc, Rational T) {
-    auto It = Rank[Loc].find(T);
-    assert(It != Rank[Loc].end() && "timestamp escaped collection");
-    return It->second;
+  // A timestamp's rank is its index in the table. The renaming is strictly
+  // monotone per location, so renaming in place keeps every message list
+  // sorted and disjoint and every promise list sorted.
+  auto remap = [&](unsigned Loc, Rational &T) {
+    const std::vector<Rational> &Ts = Times[Loc];
+    auto It = std::lower_bound(Ts.begin(), Ts.end(), T);
+    assert(It != Ts.end() && *It == T && "timestamp is no message endpoint");
+    T = Rational(static_cast<int64_t>(It - Ts.begin()));
   };
   auto remapView = [&](View &V) {
-    for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
-      V.set(Loc, remap(Loc, V.get(Loc)));
+    for (unsigned Loc = 0; Loc != NumLocs; ++Loc) {
+      Rational T = V.get(Loc);
+      remap(Loc, T);
+      V.set(Loc, T);
+    }
   };
-
-  // Rebuild the memory with remapped endpoints (the remap is monotone per
-  // location, so order and adjacency are preserved).
-  std::vector<PsMessage> All;
   for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
-    for (const PsMessage &Const : Mem.msgs(Loc)) {
-      PsMessage M = Const;
-      M.From = remap(Loc, M.From);
-      M.To = remap(Loc, M.To);
+    for (PsMessage &M : Mem.msgsMutable(Loc)) {
+      remap(Loc, M.From);
+      remap(Loc, M.To);
       if (M.MView.has_value())
         remapView(*M.MView);
-      All.push_back(std::move(M));
     }
-  Mem = PsMemory::fromMessages(NumLocs, std::move(All));
-
   for (PsThread &T : Threads) {
     remapView(T.V);
     for (MsgId &Id : T.Promises)
-      Id.To = remap(Id.Loc, Id.To);
+      remap(Id.Loc, Id.To);
   }
+}
+
+PsMachineState PsMachineState::project(unsigned Tid) const {
+  PsMachineState R;
+  R.Mem = Mem;
+  R.Threads.resize(Threads.size());
+  for (PsThread &T : R.Threads)
+    T.V = View::zero(Mem.numLocs());
+  R.Threads[Tid] = Threads[Tid];
+  return R;
 }
 
 //===----------------------------------------------------------------------===
 // PsMachine
 //===----------------------------------------------------------------------===
+
+PsMachine::PsMachine(const Program &Prog, PsConfig Cfg)
+    : Prog(Prog), Cfg(Cfg) {
+  // Promises are only useful for locations a thread can later write.
+  for (unsigned T = 0, E = Prog.numThreads(); T != E; ++T) {
+    AccessSummary Sum = Prog.accessSummary(T);
+    Writable.push_back(Sum.NaWritten.unionWith(Sum.AtomicAccessed));
+  }
+  for (int64_t V : Cfg.Domain.values())
+    ReadVals.push_back(Value::of(V));
+  ReadVals.push_back(Value::undef());
+}
 
 PsMachineState PsMachine::initialState() const {
   PsMachineState S;
@@ -146,14 +159,6 @@ PsMachineState PsMachine::initialState() const {
     S.Threads.push_back(std::move(Th));
   }
   return S;
-}
-
-std::vector<Value> PsMachine::readValues() const {
-  std::vector<Value> Out;
-  for (int64_t V : Cfg.Domain.values())
-    Out.push_back(Value::of(V));
-  Out.push_back(Value::undef());
-  return Out;
 }
 
 bool PsMachine::isRacy(const PsMachineState &S, unsigned Tid, unsigned Loc,
@@ -464,11 +469,7 @@ void PsMachine::stepPromise(const PsMachineState &S, unsigned Tid,
   if (T.Promises.size() >= Cfg.PromiseBudget)
     return;
 
-  // Promises are only useful for locations this thread can later write.
-  AccessSummary Sum = Prog.accessSummary(Tid);
-  LocSet Writable = Sum.NaWritten.unionWith(Sum.AtomicAccessed);
-
-  for (unsigned X : Writable.members()) {
+  for (unsigned X : Writable[Tid].members()) {
     bool Atomic = Prog.isAtomicLoc(X);
     for (const TimeSlot &Slot : S.Mem.slotsAbove(X, T.V.get(X))) {
       auto emit = [&](PsMessage M) {
@@ -481,14 +482,14 @@ void PsMachine::stepPromise(const PsMachineState &S, unsigned Tid,
         Out.push_back(std::move(Next));
       };
       if (Atomic) {
-        for (Value V : readValues()) {
+        for (Value V : ReadVals) {
           PsMessage M;
           M.V = V;
           M.MView = View::single(Prog.numLocs(), X, Slot.To);
           emit(M);
         }
       } else {
-        for (Value V : readValues()) {
+        for (Value V : ReadVals) {
           PsMessage M;
           M.V = V;
           M.MView = std::nullopt;
@@ -611,31 +612,64 @@ struct StateHash {
 
 } // namespace
 
+memo::Fp128 PsMachine::certKey(const PsMachineState &S, unsigned Tid) {
+  memo::Fp128 F = memo::fpSeed(/*Tag=*/0x70736372 /* "pscr" */);
+  memo::fpMix(F, Tid);
+  memo::fpMix(F, S.Threads[Tid].hash());
+  memo::fpMix(F, S.Mem.hash());
+  return F;
+}
+
 bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
   if (S.Threads[Tid].Promises.empty())
     return true;
+  memo::Fp128 Key = certKey(S, Tid);
+  auto lookup = [&Key](const CertTable &T) -> const CertVerdict * {
+    auto It = T.find(Key);
+    return It == T.end() ? nullptr : &It->second;
+  };
+  const CertVerdict *Known = Table ? lookup(*Table) : nullptr;
+  if (!Known)
+    Known = lookup(Pending);
+  if (Known) {
+    if (Cfg.Telem)
+      Cfg.Telem->Counters.add("psna.cert.table_hits", 1);
+    CertBudgetHit |= Known->BudgetHit;
+    return Known->Ok;
+  }
+  CertVerdict V = searchCertification(S, Tid);
+  CertBudgetHit |= V.BudgetHit;
+  Pending.emplace(Key, V);
+  return V.Ok;
+}
+
+CertVerdict PsMachine::searchCertification(const PsMachineState &S,
+                                           unsigned Tid) const {
   obs::ScopedTally Tally(Cfg.Telem ? &Cfg.Telem->Counters : nullptr);
   uint64_t &Searches = Tally.slot("psna.cert.searches");
   uint64_t &Nodes = Tally.slot("psna.cert.nodes");
   uint64_t &BudgetHits = Tally.slot("psna.cert.budget_hits");
   ++Searches;
-  // Depth-first search over thread-local futures.
+  // The other threads never move during the search, so blanking them (and
+  // the outputs) maps the full search one-to-one onto the search from the
+  // projection, whose verdict depends on the key alone.
+  PsMachineState Root = S.project(Tid);
+  // Depth-first search over thread-local futures. Each state lives once,
+  // in Visited (whose elements never move); the stack points into it.
   std::unordered_set<PsMachineState, StateHash> Visited;
-  std::vector<PsMachineState> Stack;
-  Stack.push_back(S);
-  Visited.insert(S);
+  std::vector<const PsMachineState *> Stack;
+  Stack.push_back(&*Visited.insert(std::move(Root)).first);
   unsigned Budget = Cfg.CertNodeBudget;
   while (!Stack.empty()) {
     if (Budget-- == 0) {
       ++BudgetHits;
-      CertBudgetHit = true;
-      return false;
+      return {/*Ok=*/false, /*BudgetHit=*/true};
     }
     ++Nodes;
-    PsMachineState Cur = Stack.back();
+    const PsMachineState &Cur = *Stack.back();
     Stack.pop_back();
     if (Cur.Threads[Tid].Promises.empty())
-      return true;
+      return {/*Ok=*/true, /*BudgetHit=*/false};
     if (Cur.Bottom)
       continue;
     for (PsMachineState &Next : microSteps(Cur, Tid,
@@ -643,12 +677,13 @@ bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
       if (Cfg.Normalize)
         Next.normalize();
       if (Next.Threads[Tid].Promises.empty())
-        return true;
-      if (Visited.insert(Next).second)
-        Stack.push_back(std::move(Next));
+        return {/*Ok=*/true, /*BudgetHit=*/false};
+      auto [It, Inserted] = Visited.insert(std::move(Next));
+      if (Inserted)
+        Stack.push_back(&*It);
     }
   }
-  return false;
+  return {/*Ok=*/false, /*BudgetHit=*/false};
 }
 
 std::vector<PsMachineState>

@@ -24,7 +24,14 @@
 ///    promised (PS1's restriction — release fulfillment is not needed by
 ///    any example in the paper);
 ///  * after every step, states are normalized by ranking each location's
-///    timestamps, which merges order-isomorphic states.
+///    timestamps, which merges order-isomorphic states. Every view entry
+///    and promise id is some message's To, so the ranks are a function of
+///    the memory alone;
+///  * certification runs on the projection ⟨T_π, M⟩ (the other threads'
+///    views and the outputs zeroed), so its verdict is a function of
+///    ⟨π, T_π, M⟩. An exploration keeps one CertTable of those verdicts:
+///    each distinct key is searched once, and a table hit answers exactly
+///    as the search would have (verdict and budget hit alike).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +39,13 @@
 #define PSEQ_PSNA_MACHINE_H
 
 #include "exec/ThreadPool.h"
+#include "memo/Fingerprint.h"
 #include "psna/Thread.h"
+#include "support/LocSet.h"
 #include "support/ValueDomain.h"
+
+#include <unordered_map>
+#include <utility>
 
 namespace pseq {
 
@@ -102,23 +114,51 @@ struct PsMachineState {
 
   bool allDone() const;
 
-  /// Ranks every location's timestamps to 0..k (exact: every timestamp in
-  /// views equals some message endpoint), merging order-isomorphic states.
+  /// Ranks every location's message endpoints to 0..k and renames every
+  /// timestamp in place, merging order-isomorphic states. Exact because
+  /// every view entry and promise id is some message's To (each step
+  /// keeps it so).
   void normalize();
+
+  /// The projection ⟨T_Tid, M⟩ that certification searches from: the
+  /// memory and thread \p Tid kept, the other threads blanked to a zero
+  /// view without promises, no outputs.
+  PsMachineState project(unsigned Tid) const;
 
   bool operator==(const PsMachineState &O) const;
   uint64_t hash() const;
   std::string str() const;
 };
 
+/// One certification search's outcome.
+struct CertVerdict {
+  bool Ok = false;        ///< the thread can fulfil its promises alone
+  bool BudgetHit = false; ///< the search ran out of CertNodeBudget
+};
+
+/// Certification verdicts keyed by PsMachine::certKey (⟨π, T_π, M⟩). One
+/// table lives for one exploration; the explorer freezes it while a level
+/// expands and inserts the verdicts of merged expansions in pop order, so
+/// which searches run is a function of the BFS level alone.
+using CertTable =
+    std::unordered_map<memo::Fp128, CertVerdict, memo::Fp128Hash>;
+
+/// Rough retained bytes of one CertTable entry (key, verdict, node and
+/// bucket pointers), for ResourceGuard accounting.
+constexpr uint64_t CertEntryBytes = 64;
+
 /// The PS^na transition relation for a whole program.
 class PsMachine {
   const Program &Prog;
   PsConfig Cfg;
+  /// Per thread: the locations stepPromise can target (NaWritten ∪
+  /// AtomicAccessed).
+  std::vector<LocSet> Writable;
+  /// The values a promise may carry: the domain plus undef.
+  std::vector<Value> ReadVals;
 
 public:
-  PsMachine(const Program &Prog, PsConfig Cfg)
-      : Prog(Prog), Cfg(Cfg) {}
+  PsMachine(const Program &Prog, PsConfig Cfg);
 
   const Program &program() const { return Prog; }
   const PsConfig &config() const { return Cfg; }
@@ -132,10 +172,24 @@ public:
   std::vector<PsMachineState> threadSuccessors(const PsMachineState &S,
                                                unsigned Tid) const;
 
-  /// Certification: thread \p Tid, running alone, can fulfill all its
-  /// promises (bounded search; a budget miss counts as not certified and
-  /// is recorded by the caller via certBudgetHit()).
+  /// Certification: thread \p Tid, running alone against S.Mem, can
+  /// fulfill all its promises (bounded search from the projection
+  /// ⟨T_Tid, M⟩; a budget miss counts as not certified and is recorded by
+  /// the caller via certBudgetHit()). A key already in the attached table
+  /// or among this machine's pending verdicts is answered without a
+  /// search.
   bool certifiable(const PsMachineState &S, unsigned Tid) const;
+
+  /// The certification key of thread \p Tid at \p S: ⟨Tid, T_Tid, M⟩.
+  static memo::Fp128 certKey(const PsMachineState &S, unsigned Tid);
+
+  /// Attaches a table of earlier verdicts (borrowed, read-only; null
+  /// detaches). Searches this machine runs are queued as pending verdicts
+  /// until takeCertVerdicts(); the table itself is never written here.
+  void setCertTable(const CertTable *T) { Table = T; }
+
+  /// Moves out the verdicts searched since the last call.
+  CertTable takeCertVerdicts() const { return std::exchange(Pending, {}); }
 
   /// True when some certification search ran out of budget (verdicts may
   /// then under-approximate the allowed behaviors).
@@ -150,6 +204,8 @@ public:
   uint64_t naMarkers() const { return NaMarkerCount; }
 
 private:
+  const CertTable *Table = nullptr;
+  mutable CertTable Pending;
   mutable bool CertBudgetHit = false;
   mutable uint64_t RaceStepCount = 0;
   mutable uint64_t NaMarkerCount = 0;
@@ -184,7 +240,9 @@ private:
   bool isRacy(const PsMachineState &S, unsigned Tid, unsigned Loc,
               bool AtomicAccess) const;
 
-  std::vector<Value> readValues() const;
+  /// The bounded DFS behind certifiable(), run from the projection.
+  CertVerdict searchCertification(const PsMachineState &S,
+                                  unsigned Tid) const;
 };
 
 } // namespace pseq

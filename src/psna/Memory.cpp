@@ -22,23 +22,12 @@ PsMemory PsMemory::initial(unsigned NumLocs) {
   return M;
 }
 
-PsMemory PsMemory::fromMessages(unsigned NumLocs,
-                                std::vector<PsMessage> Msgs) {
-  PsMemory M;
-  M.PerLoc.resize(NumLocs);
-  for (PsMessage &Msg : Msgs) {
-    assert(Msg.Loc < NumLocs && "location out of range");
-    M.PerLoc[Msg.Loc].push_back(std::move(Msg));
-  }
-  for (std::vector<PsMessage> &Ms : M.PerLoc)
-    std::sort(Ms.begin(), Ms.end(),
-              [](const PsMessage &A, const PsMessage &B) {
-                return A.To < B.To;
-              });
-  return M;
+const std::vector<PsMessage> &PsMemory::msgs(unsigned Loc) const {
+  assert(Loc < PerLoc.size() && "location out of range");
+  return PerLoc[Loc];
 }
 
-const std::vector<PsMessage> &PsMemory::msgs(unsigned Loc) const {
+std::vector<PsMessage> &PsMemory::msgsMutable(unsigned Loc) {
   assert(Loc < PerLoc.size() && "location out of range");
   return PerLoc[Loc];
 }

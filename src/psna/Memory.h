@@ -37,13 +37,13 @@ public:
   /// Memory with the initialization message for each of \p NumLocs.
   static PsMemory initial(unsigned NumLocs);
 
-  /// Rebuilds a memory from a message list (used by state normalization).
-  /// Messages must already be pairwise disjoint per location.
-  static PsMemory fromMessages(unsigned NumLocs,
-                               std::vector<PsMessage> Msgs);
-
   unsigned numLocs() const { return static_cast<unsigned>(PerLoc.size()); }
   const std::vector<PsMessage> &msgs(unsigned Loc) const;
+
+  /// In-place access for timestamp renaming (state normalization). The
+  /// caller must keep the list sorted by To and pairwise disjoint — a
+  /// strictly monotone per-location renaming does.
+  std::vector<PsMessage> &msgsMutable(unsigned Loc);
 
   /// Inserts a message; asserts its range is disjoint from existing ones.
   void insert(const PsMessage &M);

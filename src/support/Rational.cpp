@@ -90,12 +90,6 @@ Rational Rational::operator/(const Rational &O) const {
   return make(Int128(Num) * O.Den, Int128(Den) * O.Num, "operator/");
 }
 
-bool Rational::operator<(const Rational &O) const {
-  // Denominators are positive, so cross-multiplication preserves order;
-  // 128-bit products never wrap for int64 operands.
-  return Int128(Num) * O.Den < Int128(O.Num) * Den;
-}
-
 Rational Rational::midpoint(const Rational &O) const {
   return (*this + O) / Rational(2);
 }

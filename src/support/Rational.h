@@ -62,7 +62,12 @@ public:
     return Num == O.Num && Den == O.Den;
   }
   bool operator!=(const Rational &O) const { return !(*this == O); }
-  bool operator<(const Rational &O) const;
+  bool operator<(const Rational &O) const {
+    // Denominators are positive, so cross-multiplication preserves order;
+    // 128-bit products never wrap for int64 operands.
+    return static_cast<__int128>(Num) * O.Den <
+           static_cast<__int128>(O.Num) * Den;
+  }
   bool operator<=(const Rational &O) const { return *this < O || *this == O; }
   bool operator>(const Rational &O) const { return O < *this; }
   bool operator>=(const Rational &O) const { return O <= *this; }

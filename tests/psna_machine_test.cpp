@@ -8,11 +8,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "litmus/Corpus.h"
 #include "psna/Explorer.h"
 
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 using namespace pseq;
 
@@ -272,32 +275,6 @@ TEST(PsMachineTest, NormalizationMergesIsomorphicStates) {
   EXPECT_LT(B.StatesExplored, 40u) << "state dedup must be effective";
 }
 
-TEST(PsMemoryTest, FromMessagesRoundTrips) {
-  PsMemory M = PsMemory::initial(2);
-  PsMessage A;
-  A.Loc = 0;
-  A.From = Rational(1, 2);
-  A.To = Rational(1);
-  A.V = Value::of(1);
-  A.MView = View::single(2, 0, Rational(1));
-  M.insert(A);
-  PsMessage B;
-  B.Loc = 1;
-  B.From = Rational(0);
-  B.To = Rational(1, 3);
-  B.Valueless = true;
-  M.insert(B);
-
-  std::vector<PsMessage> All;
-  for (unsigned L = 0; L != 2; ++L)
-    for (const PsMessage &Msg : M.msgs(L))
-      All.push_back(Msg);
-  PsMemory M2 = PsMemory::fromMessages(2, All);
-  EXPECT_TRUE(M == M2);
-  ASSERT_NE(M2.find(MsgId{0, Rational(1)}), nullptr);
-  EXPECT_TRUE(M2.find(MsgId{1, Rational(1, 3)})->Valueless);
-}
-
 TEST(PsMachineTest, NormalizationIsIdempotentAndOrderPreserving) {
   auto P = prog("atomic x; na y;\n"
                 "thread { x@rlx := 1; y@na := 1; x@rel := 0; return 0; }\n"
@@ -322,4 +299,235 @@ TEST(PsMachineTest, NormalizationIsIdempotentAndOrderPreserving) {
       OrderAfter.push_back(Msg.Valueless ? Value::undef() : Msg.V);
     EXPECT_EQ(OrderBefore, OrderAfter);
   }
+}
+
+//===----------------------------------------------------------------------===
+// Certification table and in-place normalization, over the litmus corpus
+//===----------------------------------------------------------------------===
+
+namespace {
+
+struct StateHash {
+  size_t operator()(const PsMachineState &S) const {
+    return static_cast<size_t>(S.hash());
+  }
+};
+
+/// The corpus case's own budgets; \p Normalize off keeps raw timestamps.
+PsConfig caseConfig(const LitmusCase &LC, bool Normalize = true) {
+  PsConfig C;
+  C.Domain = LC.Domain;
+  C.PromiseBudget = LC.PromiseBudget;
+  C.SplitBudget = LC.SplitBudget;
+  C.Normalize = Normalize;
+  return C;
+}
+
+/// Every state BFS reaches from \p P's initial state under \p Cfg, in
+/// BFS order, capped at \p Cap states.
+std::vector<PsMachineState> reachableStates(const Program &P,
+                                            const PsConfig &Cfg,
+                                            size_t Cap = 2000) {
+  PsMachine M(P, Cfg);
+  PsMachineState Init = M.initialState();
+  if (Cfg.Normalize)
+    Init.normalize();
+  std::vector<PsMachineState> Out{Init};
+  std::unordered_set<PsMachineState, StateHash> Seen{Init};
+  for (size_t I = 0; I != Out.size() && Out.size() < Cap; ++I) {
+    if (Out[I].Bottom)
+      continue;
+    for (unsigned Tid = 0; Tid != Out[I].Threads.size(); ++Tid)
+      for (PsMachineState &Next : M.threadSuccessors(Out[I], Tid))
+        if (Out.size() < Cap && Seen.insert(Next).second)
+          Out.push_back(std::move(Next));
+  }
+  return Out;
+}
+
+bool isMessageTo(const PsMemory &Mem, unsigned Loc, const Rational &T) {
+  for (const PsMessage &M : Mem.msgs(Loc))
+    if (M.To == T)
+      return true;
+  return false;
+}
+
+/// The invariant normalization relies on: every view entry (thread or
+/// message) and every promise id is the To of some message.
+void expectTimesAreMessageTos(const PsMachineState &S, const char *Case) {
+  unsigned NumLocs = S.Mem.numLocs();
+  auto checkView = [&](const View &V) {
+    for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
+      EXPECT_TRUE(isMessageTo(S.Mem, Loc, V.get(Loc)))
+          << Case << ": view entry " << V.get(Loc).str() << " at loc "
+          << Loc << " is no message's To in " << S.str();
+  };
+  for (const PsThread &T : S.Threads) {
+    checkView(T.V);
+    for (const MsgId &Id : T.Promises)
+      EXPECT_TRUE(isMessageTo(S.Mem, Id.Loc, Id.To)) << Case;
+  }
+  for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
+    for (const PsMessage &M : S.Mem.msgs(Loc))
+      if (M.MView.has_value())
+        checkView(*M.MView);
+}
+
+/// \p S itself plus, for every location, slot above thread \p Tid's view
+/// and value, \p S with one more promise by \p Tid there — whether or not
+/// it can be certified (the machine would have filtered the rejected ones
+/// out of any reachable state). Each candidate is normalized.
+std::vector<PsMachineState> promiseCandidates(const Program &P,
+                                              const PsConfig &Cfg,
+                                              const PsMachineState &S,
+                                              unsigned Tid) {
+  std::vector<PsMachineState> Out{S};
+  std::vector<Value> Vals{Value::undef()};
+  for (int64_t V : Cfg.Domain.values())
+    Vals.push_back(Value::of(V));
+  for (unsigned X = 0; X != S.Mem.numLocs(); ++X)
+    for (const TimeSlot &Slot :
+         S.Mem.slotsAbove(X, S.Threads[Tid].V.get(X)))
+      for (Value V : Vals) {
+        PsMachineState C = S;
+        PsMessage M;
+        M.Loc = X;
+        M.From = Slot.From;
+        M.To = Slot.To;
+        M.V = V;
+        if (P.isAtomicLoc(X))
+          M.MView = View::single(S.Mem.numLocs(), X, Slot.To);
+        C.Mem.insert(M);
+        C.Threads[Tid].addPromise(MsgId{X, Slot.To});
+        C.normalize();
+        Out.push_back(std::move(C));
+      }
+  return Out;
+}
+
+} // namespace
+
+TEST(PsNormalizeTest, ProjectionCommutesWithNormalization) {
+  // The certification cache key is exact because normalizing ⟨T_tid, M⟩
+  // gives the projection of the normalized state: ranks depend on the
+  // memory alone. Raw (unnormalized) states make the ranking non-trivial.
+  size_t Checked = 0;
+  for (const LitmusCase &LC : litmusCorpus()) {
+    auto P = prog(LC.Text);
+    for (const PsMachineState &S :
+         reachableStates(*P, caseConfig(LC, /*Normalize=*/false))) {
+      expectTimesAreMessageTos(S, LC.Name.c_str());
+      PsMachineState N = S;
+      N.normalize();
+      for (unsigned Tid = 0; Tid != S.Threads.size(); ++Tid) {
+        PsMachineState ProjThenNorm = S.project(Tid);
+        ProjThenNorm.normalize();
+        EXPECT_TRUE(ProjThenNorm == N.project(Tid))
+            << LC.Name << " tid " << Tid << ": " << S.str();
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_GT(Checked, 1000u);
+}
+
+TEST(PsNormalizeTest, DenseRanksOrderPreservedIdempotent) {
+  for (const LitmusCase &LC : litmusCorpus()) {
+    auto P = prog(LC.Text);
+    for (const PsMachineState &S :
+         reachableStates(*P, caseConfig(LC, /*Normalize=*/false))) {
+      PsMachineState N = S;
+      N.normalize();
+      for (unsigned Loc = 0; Loc != S.Mem.numLocs(); ++Loc) {
+        // Dense: the endpoints are exactly 0..k, in message order.
+        std::vector<Rational> Ends{Rational(0)};
+        for (const PsMessage &M : N.Mem.msgs(Loc))
+          for (const Rational &T : {M.From, M.To})
+            if (Ends.back() != T)
+              Ends.push_back(T);
+        for (size_t I = 0; I != Ends.size(); ++I)
+          EXPECT_EQ(Ends[I], Rational(static_cast<int64_t>(I)))
+              << LC.Name << " loc " << Loc << ": " << N.str();
+        // Order-preserving: the same messages in the same order, and each
+        // timestamp keeps its relative position.
+        const std::vector<PsMessage> &Before = S.Mem.msgs(Loc);
+        const std::vector<PsMessage> &After = N.Mem.msgs(Loc);
+        ASSERT_EQ(Before.size(), After.size()) << LC.Name;
+        for (size_t I = 0; I != Before.size(); ++I) {
+          EXPECT_EQ(Before[I].Valueless, After[I].Valueless) << LC.Name;
+          if (!Before[I].Valueless) {
+            EXPECT_EQ(Before[I].V, After[I].V) << LC.Name;
+          }
+          EXPECT_EQ(Before[I].MView.has_value(), After[I].MView.has_value())
+              << LC.Name;
+          EXPECT_EQ(Before[I].From == Before[I].To,
+                    After[I].From == After[I].To)
+              << LC.Name;
+          if (I != 0) {
+            EXPECT_EQ(Before[I - 1].To == Before[I].From,
+                      After[I - 1].To == After[I].From)
+                << LC.Name << ": adjacency changed";
+          }
+        }
+      }
+      for (unsigned Tid = 0; Tid != S.Threads.size(); ++Tid)
+        EXPECT_EQ(S.Threads[Tid].Promises.size(),
+                  N.Threads[Tid].Promises.size());
+      PsMachineState Twice = N;
+      Twice.normalize();
+      EXPECT_TRUE(Twice == N) << LC.Name << ": normalize not idempotent";
+    }
+  }
+}
+
+TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
+  // Every (state, tid) answered by a machine whose table earlier queries
+  // filled must match a fresh search, verdict and budget hit alike. The
+  // queries are the reachable states plus one-promise extensions of them
+  // (so rejections occur), at the case's node budget and at a tiny one (so
+  // searches run out).
+  size_t Queries = 0, Hits = 0, Rejected = 0, BudgetHits = 0;
+  for (unsigned NodeBudget : {20000u, 6u}) {
+    for (const LitmusCase &LC : litmusCorpus()) {
+      if (LC.PromiseBudget == 0)
+        continue;
+      auto P = prog(LC.Text);
+      PsConfig Cfg = caseConfig(LC);
+      Cfg.CertNodeBudget = NodeBudget;
+      CertTable Table;
+      for (const PsMachineState &S :
+           reachableStates(*P, caseConfig(LC), /*Cap=*/150)) {
+        if (S.Bottom)
+          continue;
+        for (unsigned Tid = 0; Tid != S.Threads.size(); ++Tid) {
+          if (S.Threads[Tid].Prog.status() != ProgState::Status::Running)
+            continue;
+          for (const PsMachineState &Q :
+               promiseCandidates(*P, Cfg, S, Tid)) {
+            if (Q.Threads[Tid].Promises.empty())
+              continue;
+            PsMachine Fresh(*P, Cfg);
+            bool Want = Fresh.certifiable(Q, Tid);
+            PsMachine Tabled(*P, Cfg);
+            Tabled.setCertTable(&Table);
+            Hits += Table.count(PsMachine::certKey(Q, Tid));
+            EXPECT_EQ(Tabled.certifiable(Q, Tid), Want)
+                << LC.Name << " tid " << Tid << ": " << Q.str();
+            EXPECT_EQ(Tabled.certBudgetHit(), Fresh.certBudgetHit())
+                << LC.Name << " tid " << Tid << ": " << Q.str();
+            Table.merge(Tabled.takeCertVerdicts());
+            ++Queries;
+            Rejected += !Want;
+            BudgetHits += Fresh.certBudgetHit();
+          }
+        }
+      }
+    }
+  }
+  // The comparison must have exercised table hits, rejections and budget
+  // hits.
+  EXPECT_GT(Queries, 1000u);
+  EXPECT_GT(Hits, 100u);
+  EXPECT_GT(Rejected, 100u);
+  EXPECT_GT(BudgetHits, 100u);
 }

@@ -184,6 +184,27 @@ TEST(TraceDeterminismTest, PsnaCorpusTelemetryThreadInvariant) {
   expectSameTelemetry(T1, T8, "psna 1 vs 8");
 }
 
+TEST(TraceDeterminismTest, PsnaCertTableSavesSearches) {
+  // The certification table answers repeated ⟨thread, T, M⟩ queries, and
+  // the merge discipline makes its hits a function of the BFS alone:
+  // identical at 1/2/8 workers, and pinned here so that a change losing
+  // table hits (or adding searches) fails a test, not only a time trend.
+  CorpusTelemetry T1 = explorePsnaCorpus(1);
+  CorpusTelemetry T2 = explorePsnaCorpus(2);
+  CorpusTelemetry T8 = explorePsnaCorpus(8);
+  EXPECT_GT(T1.Counters["psna.cert.table_hits"], 0u);
+  EXPECT_EQ(T1.Counters["psna.cert.table_hits"],
+            T2.Counters["psna.cert.table_hits"]);
+  EXPECT_EQ(T1.Counters["psna.cert.table_hits"],
+            T8.Counters["psna.cert.table_hits"]);
+  // Litmus-corpus totals at the corpus budgets. Every certification query
+  // is either a search or a table hit: 3,412 + 13,418 = 16,830, the number
+  // of searches a run without the table makes (177,925 nodes).
+  EXPECT_EQ(T1.Counters["psna.cert.searches"], 3412u);
+  EXPECT_EQ(T1.Counters["psna.cert.nodes"], 38511u);
+  EXPECT_EQ(T1.Counters["psna.cert.table_hits"], 13418u);
+}
+
 TEST(TraceDeterminismTest, SeqCorpusTelemetryThreadInvariant) {
   CorpusTelemetry T1 = enumerateSeqCorpus(1);
   CorpusTelemetry T2 = enumerateSeqCorpus(2);
