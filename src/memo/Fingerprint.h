@@ -18,9 +18,9 @@
 ///
 /// Fingerprinting is only meaningful over canonical forms: SEQ states are
 /// canonical by construction (dense location vectors, sorted partial
-/// memories), PS^na states after PsMachineState::normalize() has ranked
-/// every location's timestamps to their order type (the explorer only
-/// fingerprints normalized states).
+/// memories), PS^na states once every location's timestamps are ranked to
+/// their order type (the explorer normalizes its initial state, and every
+/// step keeps its successors normalized).
 ///
 //===----------------------------------------------------------------------===//
 

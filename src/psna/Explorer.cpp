@@ -98,12 +98,6 @@ std::vector<std::string> PsBehaviorSet::strs() const {
 
 namespace {
 
-struct StateHash {
-  size_t operator()(const PsMachineState &S) const {
-    return static_cast<size_t>(S.hash());
-  }
-};
-
 struct BehaviorHash {
   size_t operator()(const PsBehavior &B) const {
     return static_cast<size_t>(B.hash());
@@ -113,19 +107,20 @@ struct BehaviorHash {
 /// Rough retained footprint of a visited state, for MemBudget accounting
 /// (Visited keeps one copy, the frontier briefly another).
 uint64_t approxStateBytes(const PsMachineState &S) {
-  return 2 * (sizeof(PsMachineState) + S.Threads.size() * sizeof(PsThread) +
+  return 2 * (sizeof(PsMachineState) + S.numThreads() * sizeof(PsThread) +
               S.Outs.size() * sizeof(Value));
 }
 
-/// Canonical-state fingerprint: the explorer normalizes every state before
-/// hashing (dense per-location timestamp ranks), so mixing the component
-/// hashes of a normalized state is rename-invariant by construction.
+/// Canonical-state fingerprint: every state the explorer hashes is
+/// normalized (dense per-location timestamp ranks), so mixing the cached
+/// component hashes of a normalized state is rename-invariant by
+/// construction.
 memo::Fp128 psStateFingerprint(const PsMachineState &S) {
   memo::Fp128 F = memo::fpSeed(/*Tag=*/0x70737374 /* "psst" */);
   memo::fpMix(F, S.Bottom ? 1 : 0);
-  memo::fpMix(F, S.Threads.size());
-  for (const PsThread &T : S.Threads)
-    memo::fpMix(F, T.hash());
+  memo::fpMix(F, S.numThreads());
+  for (unsigned Tid = 0, E = S.numThreads(); Tid != E; ++Tid)
+    memo::fpMix(F, S.threadHash(Tid));
   memo::fpMix(F, S.Mem.hash());
   memo::fpMix(F, S.Outs.size());
   for (const Value &V : S.Outs)
@@ -177,7 +172,7 @@ PruneInfo makePruneInfo(const Program &P, const PsConfig &Cfg) {
 memo::Footprint threadFootprint(const Program &P, const PsConfig &Cfg,
                                 const PruneInfo &PI, const PsMachineState &S,
                                 unsigned Tid) {
-  const PsThread &T = S.Threads[Tid];
+  const PsThread &T = S.thread(Tid);
   if (!T.Promises.empty())
     return memo::Footprint::global();
   if (T.Prog.isDone())
@@ -244,7 +239,7 @@ struct PsExpansion {
 /// branch where it moved first).
 void expandState(const Program &P, const PsMachine &M, const PruneInfo &PI,
                  const PsMachineState &S, uint32_t Sleep, PsExpansion &E) {
-  unsigned NT = static_cast<unsigned>(S.Threads.size());
+  unsigned NT = S.numThreads();
   E.PerThread.assign(NT, 0);
   uint64_t RaceBase = M.raceSteps(), MarkerBase = M.naMarkers();
   std::vector<memo::Footprint> Fp;
@@ -333,8 +328,10 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
     M->setCertTable(&Certs);
   PsBehaviorSet Result;
   PruneInfo PI = makePruneInfo(P, Cfg);
-  std::unordered_set<PsMachineState, StateHash> Visited;
-  memo::VisitedSet PrunedVisited(PI.On ? (size_t(1) << 16) : 64);
+  std::unordered_set<PsMachineState, PsStateHash> Visited;
+  // Sized for a small exploration: the shards grow as needed, and zeroing
+  // a table sized for a large one would cost more than most runs.
+  memo::VisitedSet PrunedVisited(PI.On ? 1024 : 64);
   auto visitedCount = [&] {
     return PI.On ? PrunedVisited.size() : uint64_t(Visited.size());
   };
@@ -393,8 +390,8 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
           }
           if (S.allDone()) {
             E.Final.emplace();
-            for (const PsThread &T : S.Threads)
-              E.Final->Rets.push_back(T.Prog.retVal());
+            for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid)
+              E.Final->Rets.push_back(S.thread(Tid).Prog.retVal());
             E.Final->Outs = std::move(S.Outs);
             return;
           }
@@ -638,7 +635,7 @@ std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
   // BFS with parent indices so the path can be reconstructed.
   std::vector<PsMachineState> States;
   std::vector<unsigned> Parent;
-  std::unordered_set<PsMachineState, StateHash> Visited;
+  std::unordered_set<PsMachineState, PsStateHash> Visited;
   std::deque<unsigned> Work;
 
   PsMachineState Init = M.initialState();
@@ -671,14 +668,14 @@ std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
     }
     if (States[Idx].allDone()) {
       PsBehavior B;
-      for (const PsThread &T : States[Idx].Threads)
-        B.Rets.push_back(T.Prog.retVal());
+      for (unsigned Tid = 0; Tid != States[Idx].numThreads(); ++Tid)
+        B.Rets.push_back(States[Idx].thread(Tid).Prog.retVal());
       B.Outs = States[Idx].Outs;
       if (B.str() == Want)
         return path(Idx);
       continue;
     }
-    unsigned NumThreads = static_cast<unsigned>(States[Idx].Threads.size());
+    unsigned NumThreads = States[Idx].numThreads();
     for (unsigned Tid = 0; Tid != NumThreads; ++Tid) {
       std::vector<PsMachineState> Succ = M.threadSuccessors(States[Idx], Tid);
       mergeCertVerdicts(Certs, M.takeCertVerdicts(), Cfg.Guard);

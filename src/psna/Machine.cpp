@@ -20,18 +20,36 @@ using namespace pseq;
 // PsMachineState
 //===----------------------------------------------------------------------===
 
+void PsMachineState::setThread(unsigned Tid, PsThread T) {
+  assert(Tid <= Threads.size() && "thread out of range");
+  uint64_t H = T.hash();
+  auto Shared = std::make_shared<const SharedThread>(
+      SharedThread{std::move(T), H});
+  if (Tid == Threads.size())
+    Threads.push_back(std::move(Shared));
+  else
+    Threads[Tid] = std::move(Shared);
+}
+
 bool PsMachineState::allDone() const {
   if (Bottom)
     return false;
-  for (const PsThread &T : Threads)
-    if (!T.Prog.isDone())
+  for (const std::shared_ptr<const SharedThread> &T : Threads)
+    if (!T->T.Prog.isDone())
       return false;
   return true;
 }
 
 bool PsMachineState::operator==(const PsMachineState &O) const {
-  return Bottom == O.Bottom && Outs == O.Outs && Threads == O.Threads &&
-         Mem == O.Mem;
+  if (Bottom != O.Bottom || Outs != O.Outs ||
+      Threads.size() != O.Threads.size())
+    return false;
+  for (size_t I = 0, E = Threads.size(); I != E; ++I) {
+    const SharedThread &A = *Threads[I], &B = *O.Threads[I];
+    if (&A != &B && (A.Hash != B.Hash || !(A.T == B.T)))
+      return false;
+  }
+  return Mem == O.Mem;
 }
 
 uint64_t PsMachineState::hash() const {
@@ -39,16 +57,16 @@ uint64_t PsMachineState::hash() const {
   H = hashCombine(H, Outs.size());
   for (Value V : Outs)
     H = hashCombine(H, V.hash());
-  for (const PsThread &T : Threads)
-    H = hashCombine(H, T.hash());
+  for (const std::shared_ptr<const SharedThread> &T : Threads)
+    H = hashCombine(H, T->Hash);
   H = hashCombine(H, Mem.hash());
   return H;
 }
 
 std::string PsMachineState::str() const {
   std::string Out = Bottom ? "BOTTOM " : "";
-  for (size_t I = 0, E = Threads.size(); I != E; ++I) {
-    const PsThread &T = Threads[I];
+  for (unsigned I = 0, E = numThreads(); I != E; ++I) {
+    const PsThread &T = thread(I);
     Out += "T" + std::to_string(I) + "(";
     switch (T.Prog.status()) {
     case ProgState::Status::Running:
@@ -68,67 +86,93 @@ std::string PsMachineState::str() const {
   return Out;
 }
 
-void PsMachineState::normalize() {
-  unsigned NumLocs = Mem.numLocs();
+void PsMachineState::rerank(unsigned Loc) {
+  // The location's endpoints 0 = init.To ≤ From_1 < To_1 ≤ From_2 < ... are
+  // already sorted (messages are kept sorted by To and pairwise disjoint),
+  // so the rank table is their deduplicated sequence. Every view entry and
+  // promise id at Loc is some message's To, so the table holds every
+  // timestamp the state mentions there. The table is per-thread scratch:
+  // reusing its capacity keeps re-ranking allocation-free.
+  static thread_local std::vector<Rational> Ts;
+  Ts.clear();
+  Ts.push_back(Rational(0));
+  for (const PsMessage &M : Mem.msgs(Loc))
+    for (const Rational &T : {M.From, M.To}) {
+      assert(Ts.back() <= T && "message endpoints out of order");
+      if (Ts.back() != T)
+        Ts.push_back(T);
+    }
 
-  // Per location, the memory's endpoints 0 = init.To ≤ From_1 < To_1 ≤
-  // From_2 < ... are already sorted (messages are kept sorted by To and
-  // pairwise disjoint), so the rank table is their deduplicated sequence.
-  // Every view entry and promise id is some message's To, so the table
-  // holds every timestamp the state mentions. The tables are per-thread
-  // scratch: normalize runs once per generated state, and reusing their
-  // capacity keeps it allocation-free.
-  static thread_local std::vector<std::vector<Rational>> Times;
-  if (Times.size() < NumLocs)
-    Times.resize(NumLocs);
-  for (unsigned Loc = 0; Loc != NumLocs; ++Loc) {
-    std::vector<Rational> &Ts = Times[Loc];
-    Ts.clear();
-    Ts.push_back(Rational(0));
-    for (const PsMessage &M : Mem.msgs(Loc))
-      for (const Rational &T : {M.From, M.To}) {
-        assert(Ts.back() <= T && "message endpoints out of order");
-        if (Ts.back() != T)
-          Ts.push_back(T);
-      }
-  }
-
-  // A timestamp's rank is its index in the table. The renaming is strictly
-  // monotone per location, so renaming in place keeps every message list
-  // sorted and disjoint and every promise list sorted.
-  auto remap = [&](unsigned Loc, Rational &T) {
-    const std::vector<Rational> &Ts = Times[Loc];
+  // A timestamp's rank is its index in the table. Endpoints below the
+  // first one whose value differs from its rank keep their value, so only
+  // timestamps from Lo up can move.
+  size_t First = 0;
+  while (First != Ts.size() && Ts[First] == Rational(int64_t(First)))
+    ++First;
+  if (First == Ts.size())
+    return;
+  const Rational Lo = Ts[First];
+  auto rank = [](const Rational &T) {
     auto It = std::lower_bound(Ts.begin(), Ts.end(), T);
     assert(It != Ts.end() && *It == T && "timestamp is no message endpoint");
-    T = Rational(static_cast<int64_t>(It - Ts.begin()));
+    return Rational(static_cast<int64_t>(It - Ts.begin()));
   };
-  auto remapView = [&](View &V) {
-    for (unsigned Loc = 0; Loc != NumLocs; ++Loc) {
-      Rational T = V.get(Loc);
-      remap(Loc, T);
-      V.set(Loc, T);
-    }
+  auto moves = [&](const Rational &T) { return Lo <= T && rank(T) != T; };
+  auto viewMoves = [&](const MsgView &V) {
+    return V.has_value() && moves(V->get(Loc));
   };
-  for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
-    for (PsMessage &M : Mem.msgsMutable(Loc)) {
-      remap(Loc, M.From);
-      remap(Loc, M.To);
-      if (M.MView.has_value())
-        remapView(*M.MView);
-    }
-  for (PsThread &T : Threads) {
-    remapView(T.V);
-    for (MsgId &Id : T.Promises)
-      remap(Id.Loc, Id.To);
+
+  // The renaming is strictly monotone, so renaming in place keeps every
+  // message list sorted and disjoint and every promise list sorted. A list
+  // or thread is rewritten only when one of its entries at Loc moves.
+  for (unsigned L = 0, E = Mem.numLocs(); L != E; ++L) {
+    const std::vector<PsMessage> &Ms = Mem.msgs(L);
+    bool Dirty = false;
+    for (const PsMessage &M : Ms)
+      Dirty |= (L == Loc && (moves(M.From) || moves(M.To))) ||
+               viewMoves(M.MView);
+    if (!Dirty)
+      continue;
+    Mem.update(L, [&](std::vector<PsMessage> &Ms) {
+      for (PsMessage &M : Ms) {
+        if (L == Loc) {
+          M.From = rank(M.From);
+          M.To = rank(M.To);
+        }
+        if (M.MView.has_value())
+          M.MView->set(Loc, rank(M.MView->get(Loc)));
+      }
+    });
   }
+  for (unsigned Tid = 0, E = numThreads(); Tid != E; ++Tid) {
+    const PsThread &T = thread(Tid);
+    bool Dirty = moves(T.V.get(Loc));
+    for (const MsgId &Id : T.Promises)
+      Dirty |= Id.Loc == Loc && moves(Id.To);
+    if (!Dirty)
+      continue;
+    PsThread NT = T;
+    NT.V.set(Loc, rank(NT.V.get(Loc)));
+    for (MsgId &Id : NT.Promises)
+      if (Id.Loc == Loc)
+        Id.To = rank(Id.To);
+    setThread(Tid, std::move(NT));
+  }
+}
+
+void PsMachineState::normalize() {
+  for (unsigned Loc = 0, E = Mem.numLocs(); Loc != E; ++Loc)
+    rerank(Loc);
 }
 
 PsMachineState PsMachineState::project(unsigned Tid) const {
   PsMachineState R;
   R.Mem = Mem;
-  R.Threads.resize(Threads.size());
-  for (PsThread &T : R.Threads)
-    T.V = View::zero(Mem.numLocs());
+  PsThread Blank;
+  Blank.V = View::zero(Mem.numLocs());
+  uint64_t H = Blank.hash();
+  R.Threads.assign(Threads.size(), std::make_shared<const SharedThread>(
+                                       SharedThread{std::move(Blank), H}));
   R.Threads[Tid] = Threads[Tid];
   return R;
 }
@@ -156,14 +200,20 @@ PsMachineState PsMachine::initialState() const {
     PsThread Th;
     Th.Prog = ProgState::initial(Prog, T);
     Th.V = View::zero(Prog.numLocs());
-    S.Threads.push_back(std::move(Th));
+    S.setThread(T, std::move(Th));
   }
   return S;
 }
 
+void PsMachine::insertMessage(PsMachineState &S, const PsMessage &M) const {
+  S.Mem.insert(M);
+  if (Cfg.Normalize)
+    S.rerank(M.Loc);
+}
+
 bool PsMachine::isRacy(const PsMachineState &S, unsigned Tid, unsigned Loc,
                        bool AtomicAccess) const {
-  const PsThread &T = S.Threads[Tid];
+  const PsThread &T = S.thread(Tid);
   for (const PsMessage &M : S.Mem.msgs(Loc)) {
     if (!(T.V.get(Loc) < M.To))
       continue;
@@ -186,14 +236,22 @@ bool canFail(const PsThread &T) {
   return true;
 }
 
+/// \p S with thread \p Tid replaced by \p T, sharing everything else.
+PsMachineState withThread(const PsMachineState &S, unsigned Tid, PsThread T) {
+  PsMachineState Next = S;
+  Next.setThread(Tid, std::move(T));
+  return Next;
+}
+
 } // namespace
 
 void PsMachine::stepFail(const PsMachineState &S, unsigned Tid,
                          std::vector<PsMachineState> &Out) const {
-  if (!canFail(S.Threads[Tid]))
+  if (!canFail(S.thread(Tid)))
     return;
-  PsMachineState Next = S;
-  Next.Threads[Tid].Prog.setError();
+  PsThread NT = S.thread(Tid);
+  NT.Prog.setError();
+  PsMachineState Next = withThread(S, Tid, std::move(NT));
   Next.Bottom = true;
   Out.push_back(std::move(Next));
 }
@@ -202,7 +260,7 @@ void PsMachine::stepRead(const PsMachineState &S, unsigned Tid,
                          const ProgState::Pending &Pend,
                          std::vector<PsMachineState> &Out,
                          bool ForCertification) const {
-  const PsThread &T = S.Threads[Tid];
+  const PsThread &T = S.thread(Tid);
   unsigned X = Pend.Loc;
   bool Acq = Pend.RM == ReadMode::ACQ;
 
@@ -210,23 +268,22 @@ void PsMachine::stepRead(const PsMachineState &S, unsigned Tid,
   for (const PsMessage &M : S.Mem.msgs(X)) {
     if (M.Valueless || M.To < T.V.get(X))
       continue;
-    PsMachineState Next = S;
-    PsThread &NT = Next.Threads[Tid];
+    PsThread NT = T;
     NT.Prog.applyRead(Prog, Tid, M.V);
     View NV = NT.V.joined(View::single(Prog.numLocs(), X, M.To));
     if (Acq)
       NV = joinMsgView(NV, M.MView);
     NT.V = NV;
-    Out.push_back(std::move(Next));
+    Out.push_back(withThread(S, Tid, std::move(NT)));
   }
 
   // (racy-read): read undef without moving the view.
   if (isRacy(S, Tid, X, Pend.RM != ReadMode::NA)) {
     if (!ForCertification)
       ++RaceStepCount;
-    PsMachineState Next = S;
-    Next.Threads[Tid].Prog.applyRead(Prog, Tid, Value::undef());
-    Out.push_back(std::move(Next));
+    PsThread NT = T;
+    NT.Prog.applyRead(Prog, Tid, Value::undef());
+    Out.push_back(withThread(S, Tid, std::move(NT)));
   }
 }
 
@@ -234,7 +291,7 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
                           const ProgState::Pending &Pend,
                           std::vector<PsMachineState> &Out,
                           bool ForCertification) const {
-  const PsThread &T = S.Threads[Tid];
+  const PsThread &T = S.thread(Tid);
   unsigned X = Pend.Loc;
   Value V = Pend.WVal;
   Rational Vx = T.V.get(X);
@@ -248,14 +305,14 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
 
   auto emit = [&](Rational NewTo, std::vector<MsgId> Fulfilled,
                   std::optional<PsMessage> NewMsg) {
-    PsMachineState Next = S;
-    PsThread &NT = Next.Threads[Tid];
+    PsThread NT = T;
     NT.Prog.applyWrite(Prog, Tid);
     NT.V.set(X, NewTo);
     for (const MsgId &Id : Fulfilled)
       NT.removePromise(Id);
+    PsMachineState Next = withThread(S, Tid, std::move(NT));
     if (NewMsg.has_value())
-      Next.Mem.insert(*NewMsg);
+      insertMessage(Next, *NewMsg);
     Out.push_back(std::move(Next));
   };
 
@@ -366,24 +423,24 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
                         const ProgState::Pending &Pend,
                         std::vector<PsMachineState> &Out,
                         bool ForCertification) const {
-  const PsThread &T = S.Threads[Tid];
+  const PsThread &T = S.thread(Tid);
   unsigned X = Pend.Loc;
   bool Acq = Pend.RM == ReadMode::ACQ;
 
-  auto finish = [&](PsMachineState Next, bool DoesWrite, Value NewVal,
+  auto finish = [&](PsThread NT, bool DoesWrite, Value NewVal,
                     View ReadView, Rational ReadTo, bool Adjacent) {
-    PsThread &NT = Next.Threads[Tid];
     if (NT.Prog.isError()) {
       // CAS comparison on undef: UB (subject to the fail condition).
       if (!canFail(T))
         return;
+      PsMachineState Next = withThread(S, Tid, std::move(NT));
       Next.Bottom = true;
       Out.push_back(std::move(Next));
       return;
     }
     if (!DoesWrite) {
       NT.V = ReadView;
-      Out.push_back(std::move(Next));
+      Out.push_back(withThread(S, Tid, std::move(NT)));
       return;
     }
     // PS2.1 certifies against *capped* memory: the slot adjacent to a
@@ -404,8 +461,7 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
       Slots = S.Mem.slotsAbove(X, ReadView.get(X));
     }
     for (const TimeSlot &Slot : Slots) {
-      PsMachineState Cand = Next;
-      PsThread &CT = Cand.Threads[Tid];
+      PsThread CT = NT;
       View NV = ReadView;
       NV.set(X, Slot.To);
       PsMessage M;
@@ -417,7 +473,8 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
                     ? MsgView(NV)
                     : MsgView(View::single(Prog.numLocs(), X, Slot.To));
       CT.V = NV;
-      Cand.Mem.insert(M);
+      PsMachineState Cand = withThread(S, Tid, std::move(CT));
+      insertMessage(Cand, M);
       Out.push_back(std::move(Cand));
     }
   };
@@ -437,15 +494,14 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
   for (const PsMessage &M : S.Mem.msgs(X)) {
     if (M.Valueless || M.To < T.V.get(X))
       continue;
-    PsMachineState Next = S;
-    PsThread &NT = Next.Threads[Tid];
+    PsThread NT = T;
     bool DoesWrite = false;
     Value NewVal;
     NT.Prog.applyRmw(Prog, Tid, M.V, DoesWrite, NewVal);
     View RV = T.V.joined(View::single(Prog.numLocs(), X, M.To));
     if (Acq)
       RV = joinMsgView(RV, M.MView);
-    finish(std::move(Next), DoesWrite, NewVal, RV, M.To,
+    finish(std::move(NT), DoesWrite, NewVal, RV, M.To,
            /*Adjacent=*/true);
   }
 
@@ -453,19 +509,18 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
   if (isRacy(S, Tid, X, /*AtomicAccess=*/true)) {
     if (!ForCertification)
       ++RaceStepCount;
-    PsMachineState Next = S;
-    PsThread &NT = Next.Threads[Tid];
+    PsThread NT = T;
     bool DoesWrite = false;
     Value NewVal;
     NT.Prog.applyRmw(Prog, Tid, Value::undef(), DoesWrite, NewVal);
-    finish(std::move(Next), DoesWrite, NewVal, T.V, Rational(0),
+    finish(std::move(NT), DoesWrite, NewVal, T.V, Rational(0),
            /*Adjacent=*/false);
   }
 }
 
 void PsMachine::stepPromise(const PsMachineState &S, unsigned Tid,
                             std::vector<PsMachineState> &Out) const {
-  const PsThread &T = S.Threads[Tid];
+  const PsThread &T = S.thread(Tid);
   if (T.Promises.size() >= Cfg.PromiseBudget)
     return;
 
@@ -476,9 +531,10 @@ void PsMachine::stepPromise(const PsMachineState &S, unsigned Tid,
         M.Loc = X;
         M.From = Slot.From;
         M.To = Slot.To;
-        PsMachineState Next = S;
-        Next.Mem.insert(M);
-        Next.Threads[Tid].addPromise(MsgId{X, Slot.To});
+        PsThread NT = T;
+        NT.addPromise(MsgId{X, Slot.To});
+        PsMachineState Next = withThread(S, Tid, std::move(NT));
+        insertMessage(Next, M);
         Out.push_back(std::move(Next));
       };
       if (Atomic) {
@@ -512,7 +568,7 @@ void PsMachine::stepLower(const PsMachineState &S, unsigned Tid,
   // (lower): replace an own promise ⟨x@t, v, V⟩ by ⟨x@t, v', V'⟩ with
   // v ⊑ v' and V' ⊑ V — i.e. raise the value to undef and/or drop the
   // view to ⊥.
-  for (const MsgId &Id : S.Threads[Tid].Promises) {
+  for (const MsgId &Id : S.thread(Tid).Promises) {
     const PsMessage *M = S.Mem.find(Id);
     assert(M && "promise without a message");
     if (M->Valueless)
@@ -524,12 +580,18 @@ void PsMachine::stepLower(const PsMachineState &S, unsigned Tid,
       bool DoBot = Mask & 2;
       if ((DoUndef && !CanUndef) || (DoBot && !CanBot))
         continue;
+      // No endpoint moves, so the successor stays normalized.
       PsMachineState Next = S;
-      PsMessage *NM = Next.Mem.findMutable(Id);
-      if (DoUndef)
-        NM->V = Value::undef();
-      if (DoBot)
-        NM->MView = std::nullopt;
+      Next.Mem.update(Id.Loc, [&](std::vector<PsMessage> &Ms) {
+        for (PsMessage &NM : Ms) {
+          if (NM.To != Id.To)
+            continue;
+          if (DoUndef)
+            NM.V = Value::undef();
+          if (DoBot)
+            NM.MView = std::nullopt;
+        }
+      });
       Out.push_back(std::move(Next));
     }
   }
@@ -539,16 +601,16 @@ std::vector<PsMachineState>
 PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
                       bool ForCertification) const {
   std::vector<PsMachineState> Out;
-  const PsThread &T = S.Threads[Tid];
+  const PsThread &T = S.thread(Tid);
   if (S.Bottom || T.Prog.status() != ProgState::Status::Running)
     return Out;
 
   ProgState::Pending Pend = T.Prog.pending(Prog, Tid);
   switch (Pend.K) {
   case ProgState::Pending::Kind::Silent: {
-    PsMachineState Next = S;
-    Next.Threads[Tid].Prog.applySilent(Prog, Tid);
-    Out.push_back(std::move(Next));
+    PsThread NT = T;
+    NT.Prog.applySilent(Prog, Tid);
+    Out.push_back(withThread(S, Tid, std::move(NT)));
     break;
   }
   case ProgState::Pending::Kind::Fail:
@@ -556,9 +618,9 @@ PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
     break;
   case ProgState::Pending::Kind::Choose: {
     for (int64_t V : Cfg.Domain.values()) {
-      PsMachineState Next = S;
-      Next.Threads[Tid].Prog.applyChoose(Prog, Tid, Value::of(V));
-      Out.push_back(std::move(Next));
+      PsThread NT = T;
+      NT.Prog.applyChoose(Prog, Tid, Value::of(V));
+      Out.push_back(withThread(S, Tid, std::move(NT)));
     }
     break;
   }
@@ -576,21 +638,22 @@ PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
     // on the state; a release fence requires all valued promises to carry
     // view ⊥ (the per-location release condition, globalized).
     if (Pend.FM == FenceMode::REL) {
-      for (const MsgId &Id : S.Threads[Tid].Promises) {
+      for (const MsgId &Id : S.thread(Tid).Promises) {
         const PsMessage *M = S.Mem.find(Id);
         if (!M->Valueless && M->MView.has_value())
           return Out;
       }
     }
-    PsMachineState Next = S;
-    Next.Threads[Tid].Prog.applyFence(Prog, Tid);
-    Out.push_back(std::move(Next));
+    PsThread NT = T;
+    NT.Prog.applyFence(Prog, Tid);
+    Out.push_back(withThread(S, Tid, std::move(NT)));
     break;
   }
   case ProgState::Pending::Kind::Print: {
-    PsMachineState Next = S;
+    PsThread NT = T;
+    NT.Prog.applyPrint(Prog, Tid);
+    PsMachineState Next = withThread(S, Tid, std::move(NT));
     Next.Outs.push_back(Pend.WVal);
-    Next.Threads[Tid].Prog.applyPrint(Prog, Tid);
     Out.push_back(std::move(Next));
     break;
   }
@@ -602,26 +665,16 @@ PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
   return Out;
 }
 
-namespace {
-
-struct StateHash {
-  size_t operator()(const PsMachineState &S) const {
-    return static_cast<size_t>(S.hash());
-  }
-};
-
-} // namespace
-
 memo::Fp128 PsMachine::certKey(const PsMachineState &S, unsigned Tid) {
   memo::Fp128 F = memo::fpSeed(/*Tag=*/0x70736372 /* "pscr" */);
   memo::fpMix(F, Tid);
-  memo::fpMix(F, S.Threads[Tid].hash());
+  memo::fpMix(F, S.threadHash(Tid));
   memo::fpMix(F, S.Mem.hash());
   return F;
 }
 
 bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
-  if (S.Threads[Tid].Promises.empty())
+  if (S.thread(Tid).Promises.empty())
     return true;
   memo::Fp128 Key = certKey(S, Tid);
   auto lookup = [&Key](const CertTable &T) -> const CertVerdict * {
@@ -656,7 +709,7 @@ CertVerdict PsMachine::searchCertification(const PsMachineState &S,
   PsMachineState Root = S.project(Tid);
   // Depth-first search over thread-local futures. Each state lives once,
   // in Visited (whose elements never move); the stack points into it.
-  std::unordered_set<PsMachineState, StateHash> Visited;
+  std::unordered_set<PsMachineState, PsStateHash> Visited;
   std::vector<const PsMachineState *> Stack;
   Stack.push_back(&*Visited.insert(std::move(Root)).first);
   unsigned Budget = Cfg.CertNodeBudget;
@@ -668,15 +721,13 @@ CertVerdict PsMachine::searchCertification(const PsMachineState &S,
     ++Nodes;
     const PsMachineState &Cur = *Stack.back();
     Stack.pop_back();
-    if (Cur.Threads[Tid].Promises.empty())
+    if (Cur.thread(Tid).Promises.empty())
       return {/*Ok=*/true, /*BudgetHit=*/false};
     if (Cur.Bottom)
       continue;
     for (PsMachineState &Next : microSteps(Cur, Tid,
                                            /*ForCertification=*/true)) {
-      if (Cfg.Normalize)
-        Next.normalize();
-      if (Next.Threads[Tid].Promises.empty())
+      if (Next.thread(Tid).Promises.empty())
         return {/*Ok=*/true, /*BudgetHit=*/false};
       auto [It, Inserted] = Visited.insert(std::move(Next));
       if (Inserted)
@@ -690,8 +741,6 @@ std::vector<PsMachineState>
 PsMachine::threadSuccessors(const PsMachineState &S, unsigned Tid) const {
   std::vector<PsMachineState> Out;
   for (PsMachineState &Next : microSteps(S, Tid, /*ForCertification=*/false)) {
-    if (Cfg.Normalize)
-      Next.normalize();
     if (Next.Bottom) {
       Out.push_back(std::move(Next)); // (machine: failure) — no cert
       continue;

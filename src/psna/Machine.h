@@ -23,10 +23,12 @@
 ///    NAMsg) or [x↦t] (atomic locations); release writes are never
 ///    promised (PS1's restriction — release fulfillment is not needed by
 ///    any example in the paper);
-///  * after every step, states are normalized by ranking each location's
-///    timestamps, which merges order-isomorphic states. Every view entry
-///    and promise id is some message's To, so the ranks are a function of
-///    the memory alone;
+///  * states are kept normalized by ranking each location's timestamps,
+///    which merges order-isomorphic states. Every view entry and promise id
+///    is some message's To, so the ranks are a function of the memory
+///    alone, per location: a step that inserts a message re-ranks that
+///    location only, and every other step leaves a normalized state
+///    normalized;
 ///  * certification runs on the projection ⟨T_π, M⟩ (the other threads'
 ///    views and the outputs zeroed), so its verdict is a function of
 ///    ⟨π, T_π, M⟩. An exploration keeps one CertTable of those verdicts:
@@ -44,6 +46,7 @@
 #include "support/LocSet.h"
 #include "support/ValueDomain.h"
 
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -106,11 +109,24 @@ struct PsConfig {
 };
 
 /// A whole-machine state ⟨T, M⟩ plus the system-call output so far.
+///
+/// Threads are shared like the memory's message lists: each is immutable
+/// once built, with its hash cached, and copying a state copies one
+/// pointer per thread. A step replaces only the thread that moved, through
+/// setThread().
 struct PsMachineState {
-  std::vector<PsThread> Threads;
   PsMemory Mem;
   bool Bottom = false;
   std::vector<Value> Outs;
+
+  unsigned numThreads() const { return static_cast<unsigned>(Threads.size()); }
+  const PsThread &thread(unsigned Tid) const { return Threads[Tid]->T; }
+  /// The cached PsThread::hash() of thread \p Tid.
+  uint64_t threadHash(unsigned Tid) const { return Threads[Tid]->Hash; }
+
+  /// Replaces thread \p Tid (appends it when \p Tid == numThreads());
+  /// every other state sharing the old thread keeps it unchanged.
+  void setThread(unsigned Tid, PsThread T);
 
   bool allDone() const;
 
@@ -120,14 +136,34 @@ struct PsMachineState {
   /// keeps it so).
   void normalize();
 
+  /// normalize() at location \p Loc alone: ranks its endpoints and renames
+  /// its timestamps in the lists, views and promises. Shares every list
+  /// and thread whose entries at Loc keep their rank.
+  void rerank(unsigned Loc);
+
   /// The projection ⟨T_Tid, M⟩ that certification searches from: the
-  /// memory and thread \p Tid kept, the other threads blanked to a zero
-  /// view without promises, no outputs.
+  /// memory and thread \p Tid kept, the other threads blanked to one
+  /// shared zero view without promises, no outputs.
   PsMachineState project(unsigned Tid) const;
 
   bool operator==(const PsMachineState &O) const;
   uint64_t hash() const;
   std::string str() const;
+
+private:
+  /// One thread and its hash.
+  struct SharedThread {
+    PsThread T;
+    uint64_t Hash = 0;
+  };
+  std::vector<std::shared_ptr<const SharedThread>> Threads;
+};
+
+/// Hashes a state for the explorers' and certification's visited sets.
+struct PsStateHash {
+  size_t operator()(const PsMachineState &S) const {
+    return static_cast<size_t>(S.hash());
+  }
 };
 
 /// One certification search's outcome.
@@ -167,7 +203,8 @@ public:
   PsMachineState initialState() const;
 
   /// All certified machine steps in which thread \p Tid moves once.
-  /// Successors are normalized. (machine: normal) steps are filtered by
+  /// With Normalize on, \p S must be normalized, and so are the
+  /// successors. (machine: normal) steps are filtered by
   /// certification; (machine: failure) steps yield Bottom states.
   std::vector<PsMachineState> threadSuccessors(const PsMachineState &S,
                                                unsigned Tid) const;
@@ -210,7 +247,8 @@ private:
   mutable uint64_t RaceStepCount = 0;
   mutable uint64_t NaMarkerCount = 0;
 
-  /// Enumerates raw thread micro-steps (no certification). When
+  /// Enumerates thread micro-steps (no certification); with Normalize on,
+  /// the successors of a normalized state are normalized. When
   /// \p ForCertification, promise steps are disabled.
   std::vector<PsMachineState> microSteps(const PsMachineState &S,
                                          unsigned Tid,
@@ -234,6 +272,10 @@ private:
                  std::vector<PsMachineState> &Out) const;
   void stepFail(const PsMachineState &S, unsigned Tid,
                 std::vector<PsMachineState> &Out) const;
+
+  /// Inserts \p M into \p S, re-ranking its location when normalizing.
+  /// Called last, once the step has updated the moving thread.
+  void insertMessage(PsMachineState &S, const PsMessage &M) const;
 
   /// Race detection (race-helper): the thread is unaware of some message
   /// at \p Loc; atomic accesses race only with valueless NAMsg markers.

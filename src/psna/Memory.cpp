@@ -14,57 +14,55 @@
 
 using namespace pseq;
 
+std::shared_ptr<const PsMemory::MsgList>
+PsMemory::makeList(std::vector<PsMessage> Ms) {
+  auto L = std::make_shared<MsgList>();
+  L->Hash = Ms.size();
+  for (const PsMessage &M : Ms)
+    L->Hash = hashCombine(L->Hash, M.hash());
+  L->Msgs = std::move(Ms);
+  return L;
+}
+
 PsMemory PsMemory::initial(unsigned NumLocs) {
   PsMemory M;
-  M.PerLoc.resize(NumLocs);
   for (unsigned L = 0; L != NumLocs; ++L)
-    M.PerLoc[L].push_back(PsMessage::init(L));
+    M.PerLoc.push_back(makeList({PsMessage::init(L)}));
   return M;
 }
 
 const std::vector<PsMessage> &PsMemory::msgs(unsigned Loc) const {
   assert(Loc < PerLoc.size() && "location out of range");
-  return PerLoc[Loc];
-}
-
-std::vector<PsMessage> &PsMemory::msgsMutable(unsigned Loc) {
-  assert(Loc < PerLoc.size() && "location out of range");
-  return PerLoc[Loc];
+  return PerLoc[Loc]->Msgs;
 }
 
 void PsMemory::insert(const PsMessage &M) {
-  assert(M.Loc < PerLoc.size() && "location out of range");
   assert(M.From < M.To && "empty or inverted message range");
-  std::vector<PsMessage> &Ms = PerLoc[M.Loc];
-  auto It = std::lower_bound(Ms.begin(), Ms.end(), M,
-                             [](const PsMessage &A, const PsMessage &B) {
-                               return A.To < B.To;
-                             });
-  // Disjointness: the previous message must end at or before M.From, the
-  // next must start at or after M.To.
-  if (It != Ms.begin())
-    assert(std::prev(It)->To <= M.From && "overlapping message ranges");
-  if (It != Ms.end())
-    assert(M.To <= It->From && "overlapping message ranges");
-  Ms.insert(It, M);
+  update(M.Loc, [&M](std::vector<PsMessage> &Ms) {
+    auto It = std::lower_bound(Ms.begin(), Ms.end(), M,
+                               [](const PsMessage &A, const PsMessage &B) {
+                                 return A.To < B.To;
+                               });
+    // Disjointness: the previous message must end at or before M.From, the
+    // next must start at or after M.To.
+    if (It != Ms.begin())
+      assert(std::prev(It)->To <= M.From && "overlapping message ranges");
+    if (It != Ms.end())
+      assert(M.To <= It->From && "overlapping message ranges");
+    Ms.insert(It, M);
+  });
 }
 
 const PsMessage *PsMemory::find(MsgId Id) const {
-  assert(Id.Loc < PerLoc.size() && "location out of range");
-  for (const PsMessage &M : PerLoc[Id.Loc])
+  for (const PsMessage &M : msgs(Id.Loc))
     if (M.To == Id.To)
       return &M;
   return nullptr;
 }
 
-PsMessage *PsMemory::findMutable(MsgId Id) {
-  return const_cast<PsMessage *>(find(Id));
-}
-
 std::vector<TimeSlot> PsMemory::slotsAbove(unsigned Loc,
                                            Rational After) const {
-  assert(Loc < PerLoc.size() && "location out of range");
-  const std::vector<PsMessage> &Ms = PerLoc[Loc];
+  const std::vector<PsMessage> &Ms = msgs(Loc);
   std::vector<TimeSlot> Out;
   // Gaps between consecutive messages (and below the first message, which
   // cannot occur in practice since the init message sits at 0).
@@ -90,8 +88,7 @@ std::vector<TimeSlot> PsMemory::slotsAbove(unsigned Loc,
 
 std::optional<TimeSlot> PsMemory::adjacentSlot(unsigned Loc,
                                                Rational ReadTo) const {
-  assert(Loc < PerLoc.size() && "location out of range");
-  const std::vector<PsMessage> &Ms = PerLoc[Loc];
+  const std::vector<PsMessage> &Ms = msgs(Loc);
   for (size_t I = 0, E = Ms.size(); I != E; ++I) {
     if (Ms[I].To != ReadTo)
       continue;
@@ -108,20 +105,28 @@ std::optional<TimeSlot> PsMemory::adjacentSlot(unsigned Loc,
   return std::nullopt; // no message with that timestamp
 }
 
+bool PsMemory::operator==(const PsMemory &O) const {
+  if (PerLoc.size() != O.PerLoc.size())
+    return false;
+  for (size_t L = 0, E = PerLoc.size(); L != E; ++L) {
+    const MsgList &A = *PerLoc[L], &B = *O.PerLoc[L];
+    if (&A != &B && (A.Hash != B.Hash || A.Msgs != B.Msgs))
+      return false;
+  }
+  return true;
+}
+
 uint64_t PsMemory::hash() const {
   uint64_t H = PerLoc.size();
-  for (const std::vector<PsMessage> &Ms : PerLoc) {
-    H = hashCombine(H, Ms.size());
-    for (const PsMessage &M : Ms)
-      H = hashCombine(H, M.hash());
-  }
+  for (const std::shared_ptr<const MsgList> &L : PerLoc)
+    H = hashCombine(H, L->Hash);
   return H;
 }
 
 std::string PsMemory::str() const {
   std::string Out;
-  for (const std::vector<PsMessage> &Ms : PerLoc)
-    for (const PsMessage &M : Ms)
+  for (const std::shared_ptr<const MsgList> &L : PerLoc)
+    for (const PsMessage &M : L->Msgs)
       Out += M.str() + " ";
   return Out;
 }

@@ -10,6 +10,12 @@
 /// disjoint (From, To] ranges, kept sorted by To. Initially every location
 /// holds the initialization message ⟨x@0, 0, ⊥⟩ (Def 5.3).
 ///
+/// Each location's list is immutable once built and shared between every
+/// state that holds it, with its hash computed once at construction.
+/// Copying a memory copies one pointer per location; a step that inserts
+/// or changes a message builds a new list for that location only, through
+/// update().
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSEQ_PSNA_MEMORY_H
@@ -17,6 +23,7 @@
 
 #include "psna/Message.h"
 
+#include <memory>
 #include <vector>
 
 namespace pseq {
@@ -29,7 +36,14 @@ struct TimeSlot {
 
 /// The message memory M.
 class PsMemory {
-  std::vector<std::vector<PsMessage>> PerLoc; // each sorted by To
+  /// One location's messages, sorted by To, and their hash.
+  struct MsgList {
+    std::vector<PsMessage> Msgs;
+    uint64_t Hash = 0;
+  };
+  std::vector<std::shared_ptr<const MsgList>> PerLoc;
+
+  static std::shared_ptr<const MsgList> makeList(std::vector<PsMessage> Ms);
 
 public:
   PsMemory() = default;
@@ -40,17 +54,23 @@ public:
   unsigned numLocs() const { return static_cast<unsigned>(PerLoc.size()); }
   const std::vector<PsMessage> &msgs(unsigned Loc) const;
 
-  /// In-place access for timestamp renaming (state normalization). The
-  /// caller must keep the list sorted by To and pairwise disjoint — a
-  /// strictly monotone per-location renaming does.
-  std::vector<PsMessage> &msgsMutable(unsigned Loc);
+  /// Replaces location \p Loc's list by a copy that \p F edits in place;
+  /// every other memory sharing the old list keeps it unchanged. \p F must
+  /// leave the list sorted by To and pairwise disjoint.
+  template <typename Fn> void update(unsigned Loc, Fn &&F) {
+    const std::vector<PsMessage> &Old = msgs(Loc);
+    std::vector<PsMessage> Ms;
+    Ms.reserve(Old.size() + 1); // room for insert() without regrowing
+    Ms.assign(Old.begin(), Old.end());
+    F(Ms);
+    PerLoc[Loc] = makeList(std::move(Ms));
+  }
 
   /// Inserts a message; asserts its range is disjoint from existing ones.
   void insert(const PsMessage &M);
 
   /// \returns the message with the given timestamp, or nullptr.
   const PsMessage *find(MsgId Id) const;
-  PsMessage *findMutable(MsgId Id);
 
   /// Enumerates the distinct placements for a new message at \p Loc whose
   /// timestamp must exceed \p After: for each gap above After, a slot in
@@ -64,7 +84,8 @@ public:
   /// message already occupies space directly above.
   std::optional<TimeSlot> adjacentSlot(unsigned Loc, Rational ReadTo) const;
 
-  bool operator==(const PsMemory &O) const { return PerLoc == O.PerLoc; }
+  bool operator==(const PsMemory &O) const;
+  /// Combines the cached per-location hashes.
   uint64_t hash() const;
   std::string str() const;
 };

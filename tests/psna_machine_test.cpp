@@ -248,8 +248,8 @@ TEST(PsWitnessTest, Example51WitnessGoesThroughAPromise) {
   // execution needs one.
   bool SawPromise = false;
   for (const PsMachineState &S : Path)
-    for (const PsThread &T : S.Threads)
-      SawPromise |= !T.Promises.empty();
+    for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid)
+      SawPromise |= !S.thread(Tid).Promises.empty();
   EXPECT_TRUE(SawPromise);
 }
 
@@ -307,12 +307,6 @@ TEST(PsMachineTest, NormalizationIsIdempotentAndOrderPreserving) {
 
 namespace {
 
-struct StateHash {
-  size_t operator()(const PsMachineState &S) const {
-    return static_cast<size_t>(S.hash());
-  }
-};
-
 /// The corpus case's own budgets; \p Normalize off keeps raw timestamps.
 PsConfig caseConfig(const LitmusCase &LC, bool Normalize = true) {
   PsConfig C;
@@ -333,11 +327,11 @@ std::vector<PsMachineState> reachableStates(const Program &P,
   if (Cfg.Normalize)
     Init.normalize();
   std::vector<PsMachineState> Out{Init};
-  std::unordered_set<PsMachineState, StateHash> Seen{Init};
+  std::unordered_set<PsMachineState, PsStateHash> Seen{Init};
   for (size_t I = 0; I != Out.size() && Out.size() < Cap; ++I) {
     if (Out[I].Bottom)
       continue;
-    for (unsigned Tid = 0; Tid != Out[I].Threads.size(); ++Tid)
+    for (unsigned Tid = 0; Tid != Out[I].numThreads(); ++Tid)
       for (PsMachineState &Next : M.threadSuccessors(Out[I], Tid))
         if (Out.size() < Cap && Seen.insert(Next).second)
           Out.push_back(std::move(Next));
@@ -362,7 +356,8 @@ void expectTimesAreMessageTos(const PsMachineState &S, const char *Case) {
           << Case << ": view entry " << V.get(Loc).str() << " at loc "
           << Loc << " is no message's To in " << S.str();
   };
-  for (const PsThread &T : S.Threads) {
+  for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid) {
+    const PsThread &T = S.thread(Tid);
     checkView(T.V);
     for (const MsgId &Id : T.Promises)
       EXPECT_TRUE(isMessageTo(S.Mem, Id.Loc, Id.To)) << Case;
@@ -387,7 +382,7 @@ std::vector<PsMachineState> promiseCandidates(const Program &P,
     Vals.push_back(Value::of(V));
   for (unsigned X = 0; X != S.Mem.numLocs(); ++X)
     for (const TimeSlot &Slot :
-         S.Mem.slotsAbove(X, S.Threads[Tid].V.get(X)))
+         S.Mem.slotsAbove(X, S.thread(Tid).V.get(X)))
       for (Value V : Vals) {
         PsMachineState C = S;
         PsMessage M;
@@ -398,7 +393,9 @@ std::vector<PsMachineState> promiseCandidates(const Program &P,
         if (P.isAtomicLoc(X))
           M.MView = View::single(S.Mem.numLocs(), X, Slot.To);
         C.Mem.insert(M);
-        C.Threads[Tid].addPromise(MsgId{X, Slot.To});
+        PsThread T = C.thread(Tid);
+        T.addPromise(MsgId{X, Slot.To});
+        C.setThread(Tid, std::move(T));
         C.normalize();
         Out.push_back(std::move(C));
       }
@@ -419,7 +416,7 @@ TEST(PsNormalizeTest, ProjectionCommutesWithNormalization) {
       expectTimesAreMessageTos(S, LC.Name.c_str());
       PsMachineState N = S;
       N.normalize();
-      for (unsigned Tid = 0; Tid != S.Threads.size(); ++Tid) {
+      for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid) {
         PsMachineState ProjThenNorm = S.project(Tid);
         ProjThenNorm.normalize();
         EXPECT_TRUE(ProjThenNorm == N.project(Tid))
@@ -470,9 +467,9 @@ TEST(PsNormalizeTest, DenseRanksOrderPreservedIdempotent) {
           }
         }
       }
-      for (unsigned Tid = 0; Tid != S.Threads.size(); ++Tid)
-        EXPECT_EQ(S.Threads[Tid].Promises.size(),
-                  N.Threads[Tid].Promises.size());
+      for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid)
+        EXPECT_EQ(S.thread(Tid).Promises.size(),
+                  N.thread(Tid).Promises.size());
       PsMachineState Twice = N;
       Twice.normalize();
       EXPECT_TRUE(Twice == N) << LC.Name << ": normalize not idempotent";
@@ -499,12 +496,12 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
            reachableStates(*P, caseConfig(LC), /*Cap=*/150)) {
         if (S.Bottom)
           continue;
-        for (unsigned Tid = 0; Tid != S.Threads.size(); ++Tid) {
-          if (S.Threads[Tid].Prog.status() != ProgState::Status::Running)
+        for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid) {
+          if (S.thread(Tid).Prog.status() != ProgState::Status::Running)
             continue;
           for (const PsMachineState &Q :
                promiseCandidates(*P, Cfg, S, Tid)) {
-            if (Q.Threads[Tid].Promises.empty())
+            if (Q.thread(Tid).Promises.empty())
               continue;
             PsMachine Fresh(*P, Cfg);
             bool Want = Fresh.certifiable(Q, Tid);
@@ -530,4 +527,153 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
   EXPECT_GT(Hits, 100u);
   EXPECT_GT(Rejected, 100u);
   EXPECT_GT(BudgetHits, 100u);
+}
+
+//===----------------------------------------------------------------------===
+// Step-local re-ranking and copy-on-write states
+//===----------------------------------------------------------------------===
+
+TEST(PsNormalizeTest, SuccessorsAreNormalizeFixpoints) {
+  // A step re-ranks only the location it inserts a message at, and every
+  // other step inserts nothing. A step that skipped or mis-targeted its
+  // re-rank would leave a successor the full normalize() still changes.
+  size_t Checked = 0;
+  auto check = [&Checked](const LitmusCase &LC, const PsConfig &Cfg) {
+    auto P = prog(LC.Text);
+    PsMachine M(*P, Cfg);
+    for (const PsMachineState &S :
+         reachableStates(*P, Cfg, /*Cap=*/100000)) {
+      for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid)
+        for (const PsMachineState &N : M.threadSuccessors(S, Tid)) {
+          PsMachineState Full = N;
+          Full.normalize();
+          EXPECT_TRUE(Full == N) << LC.Name << " tid " << Tid << ": "
+                                 << N.str() << " normalizes to "
+                                 << Full.str();
+          ++Checked;
+        }
+    }
+  };
+  for (const LitmusCase &LC : litmusCorpus())
+    check(LC, caseConfig(LC));
+  for (const char *Name : {"lb-rel", "mp-rel-acq"}) {
+    const LitmusCase &LC = litmusCaseByName(Name);
+    PsConfig Cfg = caseConfig(LC);
+    Cfg.PromiseBudget = 2;
+    check(LC, Cfg);
+  }
+  EXPECT_GT(Checked, 5000u);
+}
+
+namespace {
+
+/// A deep copy of a state's contents, sharing nothing with it.
+struct StateSnapshot {
+  std::vector<PsThread> Threads;
+  std::vector<std::vector<PsMessage>> Msgs;
+  std::vector<Value> Outs;
+  bool Bottom = false;
+  std::string Str;
+
+  explicit StateSnapshot(const PsMachineState &S)
+      : Outs(S.Outs), Bottom(S.Bottom), Str(S.str()) {
+    for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid)
+      Threads.push_back(S.thread(Tid));
+    for (unsigned Loc = 0; Loc != S.Mem.numLocs(); ++Loc)
+      Msgs.push_back(S.Mem.msgs(Loc));
+  }
+
+  /// A state with these contents whose every list and thread hash is
+  /// computed afresh.
+  PsMachineState rebuild() const {
+    PsMachineState R;
+    R.Mem = PsMemory::initial(static_cast<unsigned>(Msgs.size()));
+    for (unsigned Loc = 0; Loc != Msgs.size(); ++Loc)
+      R.Mem.update(Loc, [&](std::vector<PsMessage> &Ms) { Ms = Msgs[Loc]; });
+    for (unsigned Tid = 0; Tid != Threads.size(); ++Tid)
+      R.setThread(Tid, Threads[Tid]);
+    R.Outs = Outs;
+    R.Bottom = Bottom;
+    return R;
+  }
+
+  bool operator==(const StateSnapshot &O) const = default;
+};
+
+} // namespace
+
+TEST(PsCopyOnWriteTest, StepsAndSearchesLeaveTheirStateUntouched) {
+  // Successors and certification projections share lists and threads
+  // with the state they came from; building them must never write
+  // through to it. The cached hashes must also match fresh ones.
+  size_t Steps = 0, Searches = 0;
+  for (const LitmusCase &LC : litmusCorpus()) {
+    auto P = prog(LC.Text);
+    PsConfig Cfg = caseConfig(LC);
+    for (const PsMachineState &S : reachableStates(*P, Cfg, /*Cap=*/400)) {
+      StateSnapshot Before(S);
+      uint64_t Hash = S.hash();
+      EXPECT_EQ(Before.rebuild().hash(), Hash) << LC.Name << ": " << S.str();
+      EXPECT_TRUE(Before.rebuild() == S) << LC.Name << ": " << S.str();
+      for (unsigned Tid = 0; Tid != S.numThreads(); ++Tid) {
+        PsMachine M(*P, Cfg);
+        M.threadSuccessors(S, Tid);
+        ++Steps;
+        if (!S.thread(Tid).Promises.empty()) {
+          PsMachine Fresh(*P, Cfg); // no table: the search runs from S
+          Fresh.certifiable(S, Tid);
+          ++Searches;
+        }
+        EXPECT_TRUE(StateSnapshot(S) == Before)
+            << LC.Name << " tid " << Tid << ": " << Before.Str << " became "
+            << S.str();
+        EXPECT_EQ(S.hash(), Hash) << LC.Name << " tid " << Tid;
+      }
+    }
+  }
+  EXPECT_GT(Steps, 1000u);
+  EXPECT_GT(Searches, 100u);
+}
+
+TEST(PsCopyOnWriteTest, MutatingACopyLeavesTheOriginal) {
+  // Insert a message at every location, lower every promise, move every
+  // thread and re-rank — all on a copy. The original keeps its contents.
+  size_t Mutated = 0;
+  for (const LitmusCase &LC : litmusCorpus()) {
+    auto P = prog(LC.Text);
+    for (const PsMachineState &S :
+         reachableStates(*P, caseConfig(LC), /*Cap=*/200)) {
+      StateSnapshot Before(S);
+      PsMachineState C = S;
+      for (unsigned X = 0; X != C.Mem.numLocs(); ++X) {
+        TimeSlot Slot = C.Mem.slotsAbove(X, Rational(0)).back();
+        PsMessage M;
+        M.Loc = X;
+        M.From = Slot.From;
+        M.To = Slot.To;
+        M.V = Value::of(1);
+        C.Mem.insert(M);
+      }
+      for (unsigned Tid = 0; Tid != C.numThreads(); ++Tid) {
+        for (const MsgId &Id : C.thread(Tid).Promises)
+          C.Mem.update(Id.Loc, [&Id](std::vector<PsMessage> &Ms) {
+            for (PsMessage &M : Ms)
+              if (M.To == Id.To) {
+                M.V = Value::undef();
+                M.MView = std::nullopt;
+              }
+          });
+        PsThread T = C.thread(Tid);
+        T.Prog.setError();
+        T.Promises.clear();
+        C.setThread(Tid, std::move(T));
+      }
+      C.normalize();
+      EXPECT_FALSE(C == S) << LC.Name;
+      EXPECT_TRUE(StateSnapshot(S) == Before)
+          << LC.Name << ": " << Before.Str << " became " << S.str();
+      ++Mutated;
+    }
+  }
+  EXPECT_GT(Mutated, 500u);
 }
