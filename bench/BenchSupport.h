@@ -186,7 +186,7 @@ inline bool writeJson(const std::string &Path, const std::vector<Row> &Rows,
   }
   Out += "]";
 
-  // Memo summary for the perf-regression gate (tools/check_bench_baseline):
+  // Memo block for the baseline gate (check_bench_baseline.py --group bench):
   // total engine states explored plus the cache/prune counters.
   uint64_t States = Telem.Counters.counter("seq.enum.states_expanded") +
                     Telem.Counters.counter("psna.explore.states_expanded");

@@ -5,7 +5,7 @@
 //
 // Measures exhaustive PS^na exploration of every real-world protocol case
 // (litmus/RealWorld.h) under its own corpus budgets, plus a whole-corpus
-// sweep that is the states/sec figure BENCH_BASELINE.json gates.
+// sweep reporting the corpus states/sec rate.
 //
 // Counters: states explored, distinct behaviors, states/sec (corpus
 // sweep), truncation (must stay 0 — a truncated bench run measures the

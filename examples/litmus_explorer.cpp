@@ -14,18 +14,16 @@
 //                    (the paper examples + classic litmus shapes, default)
 //                    or "realworld" (the lock-free protocol corpus,
 //                    src/litmus/RealWorld.h). The realworld run checks
-//                    every case's annotations and ends with a
-//                    deterministic "realworld summary:" line consumed by
-//                    tools/check_bench_baseline.py --realworld-summary.
+//                    every case's annotations and tallies the realworld.*
+//                    counters plus a litmus.realworld.states_per_sec gauge.
 //   --method NAME    validation method for the extra refinement sweep
 //                    (simple | advanced | simulation | symbolic). Today
 //                    only "symbolic" changes the output: with --corpus
 //                    realworld it runs the symbolic self-refinement sweep
 //                    over every protocol thread, differentially checked
-//                    against a budget-bounded enumerative lane, and ends
-//                    with a deterministic "sym summary:" line consumed by
-//                    tools/check_bench_baseline.py --sym-summary. A typo
-//                    lists the available methods and exits 2.
+//                    against a budget-bounded enumerative lane, tallied as
+//                    litmus.sym.* counters. A typo lists the available
+//                    methods and exits 2.
 //   --list           print every corpus with case counts and per-case
 //                    paper/source refs, then exit
 //   --threads N      parallelize exploration across N workers (0 = all
@@ -40,12 +38,15 @@
 //                    programs); outcome sets are identical either way,
 //                    only the state counts change
 //   --sweep N        corpus mode only: explore the whole corpus N times
-//                    sharing one memo context, then print a deterministic
-//                    "memo summary" block (states explored, hits, misses,
-//                    pruned). The perf-regression gate diffs this block
-//                    against BENCH_BASELINE.json.
+//                    sharing one memo context and one telemetry registry
+//                    (litmus.sweeps counts them)
 //   --trace PATH     JSONL event trace (the stream PSEQ_TRACE selects; the
-//                    flag wins over the env var)
+//                    flag wins over the env var). It ends in a run.final
+//                    record holding every counter and gauge of the run —
+//                    states explored, memo hits/misses/pruned, the
+//                    litmus.lint.*, realworld.* and litmus.sym.* tallies —
+//                    which tools/check_bench_baseline.py gates against
+//                    BENCH_BASELINE.json.
 //   --trace-out PATH Chrome trace-event / Perfetto JSON built from the
 //                    explorer's causal spans, written at exit
 //
@@ -79,6 +80,7 @@
 #include "lang/Parser.h"
 #include "lang/Printer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -91,31 +93,20 @@ using namespace pseq;
 
 namespace {
 
-/// Per-corpus lint tallies for the "lint summary" line (corpus mode).
-struct LintTally {
-  uint64_t RaceFree = 0, PotentiallyRacy = 0, AtomicsOnly = 0;
-  uint64_t RaceFreeStates = 0; ///< states explored on proved cases
-};
-
+/// Explores one program and prints its outcome set. With \p LintTally set
+/// (the first classic sweep) the race verdict is tallied there: the cases
+/// the lint proves safe, and the states explored on the cases whose proof
+/// suppressed NAMsg markers.
 void explore(const std::string &Title, const std::string &Text,
              const PsConfig &Cfg, bool Quiet = false,
-             LintTally *Tally = nullptr) {
+             obs::Stats *LintTally = nullptr) {
   std::unique_ptr<Program> P = parseOrDie(Text);
   PsBehaviorSet B = explorePsna(*P, Cfg);
-  if (Tally && B.Lint) {
-    switch (*B.Lint) {
-    case analysis::RaceVerdict::RaceFree:
-      ++Tally->RaceFree;
-      break;
-    case analysis::RaceVerdict::PotentiallyRacy:
-      ++Tally->PotentiallyRacy;
-      break;
-    case analysis::RaceVerdict::AtomicsOnly:
-      ++Tally->AtomicsOnly;
-      break;
-    }
-    if (B.MarkersSkipped)
-      Tally->RaceFreeStates += B.StatesExplored;
+  if (LintTally && B.Lint) {
+    LintTally->add("litmus.lint.proved_cases",
+                   *B.Lint != analysis::RaceVerdict::PotentiallyRacy);
+    LintTally->add("litmus.lint.race_free_states",
+                   B.MarkersSkipped ? B.StatesExplored : 0);
   }
   if (Quiet)
     return;
@@ -372,14 +363,13 @@ int main(int Argc, char **Argv) {
 
   // RealWorld corpus mode: every exploration runs under the case's own
   // budgets (a global --deadline-ms/--mem-mb guard wins when given) and is
-  // checked against its annotations on the spot. The summary line's count
-  // fields are deterministic; elapsed_ms/states_per_sec are wall-clock and
-  // the gate (check_bench_baseline.py --realworld-summary) treats them as
-  // informational apart from an absurdly low hang-detector floor.
+  // checked against its annotations on the spot; runRealWorldCase tallies
+  // the realworld.* counters. They are deterministic; the states/sec gauge
+  // is wall-clock, and the gate holds it only to an absurdly low
+  // hang-detector floor.
+  obs::Stats &C = Telem.Counters;
   if (Corpus == "realworld") {
-    uint64_t Cases = 0, Protocols = 0, Mutants = 0, BadExhibited = 0;
-    uint64_t Failures = 0, States = 0;
-    auto T0 = std::chrono::steady_clock::now();
+    const auto T0 = std::chrono::steady_clock::now();
     std::printf("PS^na realworld outcomes (corpus of %zu cases)\n\n",
                 realWorldCorpus().size());
     for (uint64_t Sweep = 0; Sweep != Sweeps; ++Sweep) {
@@ -399,16 +389,6 @@ int main(int Argc, char **Argv) {
         RealWorldRunResult R = runRealWorldCase(RC, Opts);
         if (Sweep != 0)
           continue; // outcome sets are identical across sweeps
-        ++Cases;
-        if (RC.IsMutant)
-          ++Mutants;
-        else
-          ++Protocols;
-        States += R.Behaviors.StatesExplored;
-        if (RC.IsMutant && !R.Behaviors.truncated() && R.MissingBad.empty())
-          ++BadExhibited;
-        if (!R.clean())
-          ++Failures;
         std::string Trunc;
         if (R.Behaviors.truncated())
           Trunc = std::string("  [TRUNCATED: ") +
@@ -438,41 +418,24 @@ int main(int Argc, char **Argv) {
         std::printf("\n");
       }
     }
-    uint64_t Ms = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - T0)
-            .count());
-    std::printf("realworld summary: cases=%llu protocols=%llu mutants=%llu "
-                "bad_exhibited=%llu annotation_failures=%llu states=%llu "
-                "elapsed_ms=%llu states_per_sec=%llu\n",
-                static_cast<unsigned long long>(Cases),
-                static_cast<unsigned long long>(Protocols),
-                static_cast<unsigned long long>(Mutants),
-                static_cast<unsigned long long>(BadExhibited),
-                static_cast<unsigned long long>(Failures),
-                static_cast<unsigned long long>(States),
-                static_cast<unsigned long long>(Ms),
-                static_cast<unsigned long long>(States * 1000 /
-                                                (Ms ? Ms : 1)));
+    C.setGauge("litmus.realworld.states_per_sec",
+               static_cast<double>(C.counter("realworld.states")) * 1000.0 /
+                   std::max(obs::msSince(T0), 1.0));
 
     // --method symbolic: the symbolic self-refinement sweep over every
     // protocol thread, differentially checked against a budget-bounded
     // enumerative lane (unbounded, the enumerative oracle game runs for
     // hours on these spin loops — which is the point of the backend). The
-    // summary counts are deterministic; a disagreement — symbolic Sound
+    // litmus.sym.* counts are deterministic; a disagreement — symbolic Sound
     // against a definite enumerative counterexample, or the reverse — is
     // a soundness bug and fails the run.
-    uint64_t SymDisagreements = 0;
     if (Method == ValidationMethod::Symbolic) {
-      uint64_t SymChecked = 0, SymSound = 0, SymUnsound = 0;
-      uint64_t SymInconclusive = 0, SymDecided = 0;
       std::printf("\nsymbolic self-refinement sweep (protocol threads)\n");
       for (const RealWorldCase &RC : realWorldCorpus()) {
         if (RC.IsMutant)
           continue;
         std::unique_ptr<Program> P = parseOrDie(RC.Text);
         for (unsigned Tid = 0; Tid != P->numThreads(); ++Tid) {
-          ++SymChecked;
           SeqConfig SCfg;
           SCfg.Domain = RC.Domain;
           SCfg.NumThreads = 1;
@@ -489,23 +452,17 @@ int main(int Argc, char **Argv) {
           EGuard.setDeadlineInMs(3000);
           ECfg.Guard = &EGuard;
           RefinementResult E = checkAdvancedRefinement(*P, Tid, *P, Tid, ECfg);
-          switch (S.Verdict) {
-          case sym::SymVerdict::Sound:
-            ++SymSound;
-            if (!E.Holds && !E.Bounded)
-              ++SymDisagreements;
-            break;
-          case sym::SymVerdict::Unsound:
-            ++SymUnsound;
-            if (E.Holds && !E.Bounded)
-              ++SymDisagreements;
-            break;
-          case sym::SymVerdict::Inconclusive:
-            ++SymInconclusive;
-            break;
-          }
-          if (S.Verdict != sym::SymVerdict::Inconclusive && E.Bounded)
-            ++SymDecided;
+          const bool Sound = S.Verdict == sym::SymVerdict::Sound;
+          const bool Unsound = S.Verdict == sym::SymVerdict::Unsound;
+          // Zero deltas too: every key reaches run.final on a clean sweep.
+          C.add("litmus.sym.checked");
+          C.add("litmus.sym.sound", Sound);
+          C.add("litmus.sym.unsound", Unsound);
+          C.add("litmus.sym.inconclusive", !Sound && !Unsound);
+          C.add("litmus.sym.decided_where_truncated",
+                (Sound || Unsound) && E.Bounded);
+          C.add("litmus.sym.disagreements",
+                !E.Bounded && ((Sound && !E.Holds) || (Unsound && E.Holds)));
           std::printf("%-28s tid %u: %-12s nodes=%llu  (enumerative: %s%s)\n",
                       RC.Name.c_str(), Tid, sym::symVerdictName(S.Verdict),
                       static_cast<unsigned long long>(S.Nodes),
@@ -513,25 +470,18 @@ int main(int Argc, char **Argv) {
                       E.Bounded ? ", truncated" : "");
         }
       }
-      std::printf("\nsym summary: checked=%llu sound=%llu unsound=%llu "
-                  "inconclusive=%llu decided_where_truncated=%llu "
-                  "disagreements=%llu\n",
-                  static_cast<unsigned long long>(SymChecked),
-                  static_cast<unsigned long long>(SymSound),
-                  static_cast<unsigned long long>(SymUnsound),
-                  static_cast<unsigned long long>(SymInconclusive),
-                  static_cast<unsigned long long>(SymDecided),
-                  static_cast<unsigned long long>(SymDisagreements));
     }
-    return finish(Failures || SymDisagreements ? 1 : 0);
+    const bool Failed = C.counter("realworld.annotation_failures") ||
+                        C.counter("realworld.truncated") ||
+                        C.counter("litmus.sym.disagreements");
+    return finish(Failed ? 1 : 0);
   }
 
   // Classic corpus mode. With --sweep N the corpus is explored N times
   // sharing one memo context and one telemetry registry; repeat sweeps hit
-  // the cross-run behavior cache, and the summary below is deterministic
-  // (state counts and cache counters only — no timing), which is what the
-  // perf gate consumes.
-  LintTally Tally;
+  // the cross-run behavior cache. The counters the perf gate reads (states
+  // expanded, memo hits/misses/pruned, litmus.lint.*) are deterministic.
+  C.add("litmus.sweeps", Sweeps);
   std::printf("PS^na litmus outcomes (corpus of %zu tests)\n\n",
               litmusCorpus().size());
   for (uint64_t Sweep = 0; Sweep != Sweeps; ++Sweep) {
@@ -547,29 +497,10 @@ int main(int Argc, char **Argv) {
       Cfg.Lint = !NoLint;
       bool Quiet = Sweep != 0; // outcome sets are identical across sweeps
       explore(LC.Name + " [" + LC.PaperRef + "]", LC.Text, Cfg, Quiet,
-              Sweep == 0 ? &Tally : nullptr);
+              Sweep == 0 ? &C : nullptr);
       if (!Quiet)
         std::printf("\n");
     }
   }
-  // Static-analyzer tallies from the first sweep (verdicts are identical
-  // across sweeps). race_free_states sums StatesExplored over the cases
-  // whose proved verdict suppressed NAMsg markers — the number the perf
-  // gate (tools/check_bench_baseline.py) bounds against BENCH_BASELINE.json.
-  if (!NoLint)
-    std::printf("lint summary: race_free=%llu potentially_racy=%llu "
-                "atomics_only=%llu race_free_states=%llu\n",
-                static_cast<unsigned long long>(Tally.RaceFree),
-                static_cast<unsigned long long>(Tally.PotentiallyRacy),
-                static_cast<unsigned long long>(Tally.AtomicsOnly),
-                static_cast<unsigned long long>(Tally.RaceFreeStates));
-  std::printf("memo summary: sweeps=%llu states_explored=%llu "
-              "memo_hits=%llu memo_misses=%llu pruned_states=%llu\n",
-              static_cast<unsigned long long>(Sweeps),
-              static_cast<unsigned long long>(
-                  Telem.Counters.counter("psna.explore.states_expanded")),
-              static_cast<unsigned long long>(MemoPtr ? Memo.hits() : 0),
-              static_cast<unsigned long long>(MemoPtr ? Memo.misses() : 0),
-              static_cast<unsigned long long>(MemoPtr ? Memo.pruned() : 0));
   return finish(0);
 }

@@ -7,7 +7,8 @@
 // shared telemetry registry and prints the aggregated report:
 //
 //   * the validated optimizer pipeline over the refinement corpus
-//     (per-pass rewrites, per-pass wall time, validation time/states);
+//     (per-pass rewrites, validation states, and per-span time: each
+//     pass, its rewrite step, its validation);
 //   * exhaustive PS^na exploration over the litmus corpus (states,
 //     dedup rates, per-thread step counts);
 //   * deliberately tight-budget reruns that exercise every truncation
@@ -184,6 +185,9 @@ int main(int Argc, char **Argv) {
   obs::Telemetry Telem;
   std::unique_ptr<obs::TraceSink> EnvSink = obs::traceSinkFromEnv();
   Telem.Sink = EnvSink.get();
+  // The report's timing section: per-span-name counts, time and self time.
+  obs::SpanRecorder Spans;
+  Telem.Spans = &Spans;
 
   // 1. Validated pipeline over the refinement corpus sources (they carry
   //    the SLF/LLF/DSE-shaped redundancy the passes fire on).

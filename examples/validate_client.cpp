@@ -7,8 +7,9 @@
 //
 // The batch client for validate_server: submits the paper's refinement
 // corpus (or stdin-fed single jobs) over the wire protocol, collects one
-// verdict per job, and optionally writes a BENCH_SERVER.json-shaped
-// summary (jobs/sec, cross-request cache hit rate) for the CI gate.
+// verdict per job, and optionally writes a JSON summary (jobs/sec,
+// cross-request cache hit rate, coverage) that the CI gate checks
+// (tools/check_bench_baseline.py --group server).
 //
 //   validate_client --socket /tmp/pseq.sock --corpus --repeat 2 \
 //     --expect-complete --bench-out out.json

@@ -39,6 +39,8 @@ ContextRecord checkContext(const ContextSpec &Ctx, const Program &Src,
   if (SrcC->numThreads() != TgtC->numThreads())
     return Rec; // context not applicable to this layout
   Rec.Applicable = true;
+  obs::ScopedSpan Span(UseCfg.Telem ? UseCfg.Telem->Spans : nullptr,
+                       "adequacy.context");
 
   if (guard::ResourceGuard *G = UseCfg.Guard;
       G && G->checkpoint() != TruncationCause::None) {
@@ -51,17 +53,14 @@ ContextRecord checkContext(const ContextSpec &Ctx, const Program &Src,
     return Rec;
   }
 
-  std::chrono::steady_clock::time_point Start =
-      std::chrono::steady_clock::now();
+  const auto Start = std::chrono::steady_clock::now();
   PsRefinementResult R = checkPsRefinement(*SrcC, *TgtC, UseCfg);
   Rec.V.Context = Ctx.Name;
   Rec.V.Holds = R.Holds;
   Rec.V.Bounded = R.Bounded;
   Rec.V.Cause = R.Cause;
   Rec.V.Counterexample = R.Counterexample;
-  Rec.V.ElapsedMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
+  Rec.V.ElapsedMs = obs::msSince(Start);
   return Rec;
 }
 
@@ -76,12 +75,13 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
   // Either config may carry the telemetry handle; the SEQ checkers and the
   // PS^na explorer each read their own.
   obs::Telemetry *Telem = PsCfg.Telem ? PsCfg.Telem : SeqCfg.Telem;
-  obs::TimerTree *Timers = Telem ? &Telem->Timers : nullptr;
-  obs::ScopedTimer PairTimer(Timers, "adequacy");
+  obs::SpanRecorder *Spans = Telem ? Telem->Spans : nullptr;
+  obs::ScopedSpan PairSpan(Spans, "adequacy.pair");
+  const auto Start = std::chrono::steady_clock::now();
 
   RefinementResult Simple, Advanced;
   {
-    obs::ScopedTimer SeqTimer(Timers, "seq");
+    obs::ScopedSpan SeqSpan(Spans, "adequacy.seq");
     Simple = checkSimpleRefinement(Src, Tgt, SeqCfg);
     Advanced = checkAdvancedRefinement(Src, Tgt, SeqCfg);
   }
@@ -105,8 +105,6 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
   for (unsigned W = 0; W != N; ++W)
     WCfgs[W].Telem = WTelem[W];
   exec::parallelFor(N, Lib.size(), [&](size_t I, unsigned W) {
-    obs::Telemetry *WT = WCfgs[W].Telem;
-    obs::ScopedTimer CtxTimer(WT ? &WT->Timers : nullptr, Lib[I].Name);
     CtxRecords[I] = checkContext(Lib[I], Src, Tgt, WCfgs[W]);
   });
   WTelem.merge();
@@ -159,7 +157,7 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
                     {"psna_all", Rec.PsnaAllContexts},
                     {"bounded", Rec.AnyBounded},
                     {"cause", truncationCauseName(Rec.FirstCause)},
-                    {"ms", PairTimer.stop()}});
+                    {"ms", obs::msSince(Start)}});
   }
   return Rec;
 }

@@ -357,19 +357,11 @@ AtlasResult atlas::buildAtlas(const AtlasOptions &Opts) {
     C.add("atlas.sound", R.Sound);
     C.add("atlas.seq_incomplete", R.SeqIncomplete);
     C.add("atlas.unsound", R.Unsound);
+    C.add("atlas.negative", R.negativeEntries());
     C.add("atlas.mismatch", R.Mismatches);
     C.add("atlas.bounded", R.BoundedEntries);
   }
   return R;
-}
-
-std::string AtlasResult::summaryLine() const {
-  return "atlas summary: entries=" + std::to_string(Entries.size()) +
-         " sound=" + std::to_string(Sound) +
-         " unsound=" + std::to_string(Unsound) +
-         " seq_incomplete=" + std::to_string(SeqIncomplete) +
-         " mismatch=" + std::to_string(Mismatches) +
-         " bounded=" + std::to_string(BoundedEntries);
 }
 
 std::string atlas::renderAtlasMarkdown(const AtlasResult &R) {

@@ -124,11 +124,6 @@ struct AtlasResult {
   /// reject (Unsound + SeqIncomplete). ⊑ ⊆ ⊑w and simulation ⊆ ⊑w, so
   /// all three validator methods must reject each of these pairs.
   unsigned negativeEntries() const { return Unsound + SeqIncomplete; }
-
-  /// One-line machine-readable summary for the CI baseline gate
-  /// (tools/check_bench_baseline.py): "atlas summary: entries=N sound=N
-  /// unsound=N seq_incomplete=N mismatch=N bounded=N".
-  std::string summaryLine() const;
 };
 
 /// Enumerates every template of the three categories over the mode grid.
@@ -141,7 +136,8 @@ AtlasEntry decideTemplate(const AtlasTemplate &T, const AtlasOptions &Opts);
 
 /// Enumerates and decides the whole atlas, fanning templates out across
 /// the pool. Emits atlas.* counters and the atlas.build span through
-/// Opts.Telem.
+/// Opts.Telem; the CI baseline gate reads those counters from the run's
+/// run.final record (tools/check_bench_baseline.py --group atlas).
 AtlasResult buildAtlas(const AtlasOptions &Opts = AtlasOptions());
 
 /// Renders the golden markdown table (tests/golden/atlas.md).

@@ -593,18 +593,21 @@ RealWorldRunResult pseq::runRealWorldCase(const RealWorldCase &RC,
         R.MissingBad.push_back(S);
   }
 
+  // Every key is added on every run, zero deltas included, so a clean
+  // corpus run still reports annotation_failures=0 and truncated=0 for
+  // the baseline gate to read.
   if (obs::Telemetry *T = Opts.Telem) {
-    T->Counters.add("realworld.cases_run");
-    if (RC.IsMutant)
-      T->Counters.add("realworld.mutants_run");
-    if (RC.IsMutant && R.MissingBad.empty() && !R.Behaviors.truncated())
-      T->Counters.add("realworld.bad_exhibited");
-    T->Counters.add("realworld.states", R.Behaviors.StatesExplored);
-    if (!R.MissingIncludes.empty() || !R.ForbiddenSeen.empty() ||
-        !R.MissingBad.empty() || !R.LintMatches)
-      T->Counters.add("realworld.annotation_failures");
-    if (R.Behaviors.truncated())
-      T->Counters.add("realworld.truncated");
+    obs::Stats &C = T->Counters;
+    C.add("realworld.cases_run");
+    C.add("realworld.protocols_run", !RC.IsMutant);
+    C.add("realworld.mutants_run", RC.IsMutant);
+    C.add("realworld.bad_exhibited", RC.IsMutant && R.MissingBad.empty() &&
+                                         !R.Behaviors.truncated());
+    C.add("realworld.states", R.Behaviors.StatesExplored);
+    C.add("realworld.annotation_failures",
+          !R.MissingIncludes.empty() || !R.ForbiddenSeen.empty() ||
+              !R.MissingBad.empty() || !R.LintMatches);
+    C.add("realworld.truncated", R.Behaviors.truncated());
   }
   return R;
 }

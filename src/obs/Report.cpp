@@ -9,7 +9,10 @@
 
 #include "support/AtomicFile.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string_view>
 
 using namespace pseq::obs;
 
@@ -21,7 +24,41 @@ std::string fixed(double V, int Prec = 2) {
   return Buf;
 }
 
+std::vector<SpanTotal> spanTotalsOf(const Telemetry &T) {
+  return T.Spans ? spanTotals(*T.Spans) : std::vector<SpanTotal>();
+}
+
 } // namespace
+
+std::vector<SpanTotal> pseq::obs::spanTotals(const SpanRecorder &R) {
+  struct Ns {
+    uint64_t Count = 0, Total = 0, Self = 0;
+  };
+  std::map<std::string_view, Ns> ByName;
+  for (unsigned L = 0; L != R.lanes(); ++L) {
+    // A lane holds its spans in end order, so every span's children close
+    // before it does: Closed[D] sums the spans at depth D that closed since
+    // the last span at depth D-1 did, which are exactly that span's
+    // children.
+    std::vector<uint64_t> Closed;
+    for (const SpanRecord &S : R.lane(L)) {
+      uint64_t Dur = S.EndNs - S.BeginNs;
+      if (Closed.size() < S.Depth + 2)
+        Closed.resize(S.Depth + 2, 0);
+      uint64_t Children = std::min(Closed[S.Depth + 1], Dur);
+      Closed[S.Depth + 1] = 0;
+      Closed[S.Depth] += Dur;
+      Ns &N = ByName[S.Name];
+      ++N.Count;
+      N.Total += Dur;
+      N.Self += Dur - Children;
+    }
+  }
+  std::vector<SpanTotal> Out;
+  for (const auto &[Name, N] : ByName)
+    Out.push_back({std::string(Name), N.Count, N.Total / 1e6, N.Self / 1e6});
+  return Out;
+}
 
 std::string pseq::obs::renderReportTable(const Telemetry &T) {
   std::string Out;
@@ -62,20 +99,21 @@ std::string pseq::obs::renderReportTable(const Telemetry &T) {
       Out += Line;
     }
   }
-  if (!T.Timers.empty()) {
-    Out += "timers\n";
-    for (const TimerTree::Row &R : T.Timers.rows()) {
-      std::string Name(2 + 2 * static_cast<size_t>(R.Depth), ' ');
-      size_t Slash = R.Path.rfind('/');
-      Name += Slash == std::string::npos ? R.Path : R.Path.substr(Slash + 1);
-      char Line[160];
-      std::snprintf(Line, sizeof(Line), "%-46s %11s ms %6llux\n",
-                    Name.c_str(), fixed(R.Ms).c_str(),
-                    static_cast<unsigned long long>(R.Count));
+  std::vector<SpanTotal> Spans = spanTotalsOf(T);
+  if (!Spans.empty()) {
+    Out += "spans\n";
+    char Line[200];
+    std::snprintf(Line, sizeof(Line), "  %-28s %10s %13s %13s\n", "",
+                  "count", "ms", "self ms");
+    Out += Line;
+    for (const SpanTotal &S : Spans) {
+      std::snprintf(Line, sizeof(Line), "  %-28s %10llu %13s %13s\n",
+                    S.Name.c_str(), static_cast<unsigned long long>(S.Count),
+                    fixed(S.Ms).c_str(), fixed(S.SelfMs).c_str());
       Out += Line;
     }
   }
-  if (T.Counters.empty() && T.Timers.empty())
+  if (T.Counters.empty() && Spans.empty())
     Out += "(no telemetry recorded)\n";
   Out += "================================================================="
          "=====\n";
@@ -138,18 +176,20 @@ std::string pseq::obs::renderReportJson(const Telemetry &T) {
     Out += "\":";
     Out += renderHistogramJson(H);
   }
-  Out += "},\"timers\":[";
+  Out += "},\"spans\":[";
   First = true;
-  for (const TimerTree::Row &R : T.Timers.rows()) {
+  for (const SpanTotal &S : spanTotalsOf(T)) {
     if (!First)
       Out += ',';
     First = false;
-    Out += "{\"path\":\"";
-    Out += jsonEscape(R.Path);
-    Out += "\",\"ms\":";
-    Out += jsonNumber(R.Ms);
-    Out += ",\"count\":";
-    Out += std::to_string(R.Count);
+    Out += "{\"name\":\"";
+    Out += jsonEscape(S.Name);
+    Out += "\",\"count\":";
+    Out += std::to_string(S.Count);
+    Out += ",\"ms\":";
+    Out += jsonNumber(S.Ms);
+    Out += ",\"self_ms\":";
+    Out += jsonNumber(S.SelfMs);
     Out += '}';
   }
   Out += "]}";

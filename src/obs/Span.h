@@ -136,6 +136,15 @@ private:
   uint64_t BeginNs = 0;
 };
 
+/// Wall milliseconds since \p Start. Result fields (ElapsedMs, OptMs) and
+/// trace-event "ms" fields are measured with this, whether or not spans
+/// are recorded; spans carry the per-layer breakdown.
+inline double msSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - Start)
+      .count();
+}
+
 } // namespace pseq::obs
 
 #endif // PSEQ_OBS_SPAN_H

@@ -7,10 +7,11 @@
 ///
 /// \file
 /// The handle the configs (SeqConfig, PsConfig, PipelineOptions) carry: a
-/// counter/gauge registry, a timer tree, and an optional trace sink. All
-/// engines treat a null Telemetry pointer as "telemetry off" and skip every
-/// observation behind a single branch, so the default-constructed configs
-/// cost nothing.
+/// counter/gauge registry, an optional span recorder (the only timing
+/// channel; obs/Report.h folds it into per-name times), and an optional
+/// trace sink. All engines treat a null Telemetry pointer as "telemetry
+/// off" and skip every observation behind a single branch, so the
+/// default-constructed configs cost nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,6 @@
 
 #include "obs/Counters.h"
 #include "obs/Span.h"
-#include "obs/Timer.h"
 #include "obs/TraceSink.h"
 
 #include <memory>
@@ -31,7 +31,6 @@ namespace pseq::obs {
 /// One run's worth of telemetry. Non-copyable; share by pointer.
 struct Telemetry {
   Stats Counters;
-  TimerTree Timers;
   /// Borrowed, not owned; null means "no tracing". Prefer tracing() +
   /// trace() over touching this directly.
   TraceSink *Sink = nullptr;
@@ -43,8 +42,8 @@ struct Telemetry {
   /// Folds a worker arena's counter registry into this one (counters add,
   /// gauges max). WorkerTelemetry folds its private worker registries
   /// back through this after the join; the lock makes concurrent folds
-  /// safe. Timers and traces stay orchestrator-only — they are ordered
-  /// artifacts, not tallies.
+  /// safe. Traces stay orchestrator-only — they are ordered artifacts, not
+  /// tallies — and spans need no fold: workers share the recorder.
   void mergeCounters(const Stats &S) {
     std::lock_guard<std::mutex> L(MergeMu);
     Counters.merge(S);
@@ -74,10 +73,10 @@ private:
 
 /// The telemetry each worker of one fan-out records into — the only place
 /// an engine builds worker telemetry. With one worker it hands out the
-/// caller's own Telemetry, so timers, trace events and run.final land
-/// exactly where an unparallelized run puts them. With more, every worker
-/// gets a private counter registry sharing the caller's span recorder;
-/// merge() folds the registries back after the join.
+/// caller's own Telemetry, so trace events and run.final land exactly
+/// where an unparallelized run puts them. With more, every worker gets a
+/// private counter registry sharing the caller's span recorder; merge()
+/// folds the registries back after the join.
 class WorkerTelemetry {
 public:
   /// \p Caller may be null (telemetry off); \p Workers is the fan-out

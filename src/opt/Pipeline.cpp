@@ -16,6 +16,7 @@
 #include "opt/PromotePass.h"
 #include "opt/WeakenPass.h"
 
+#include <chrono>
 #include <functional>
 
 using namespace pseq;
@@ -104,8 +105,7 @@ PipelineResult pseq::runPipeline(const Program &P,
   PsValidateCfg.Guard = Guard;
   PsValidateCfg.Memo = Memo;
   PsValidateCfg.ConfigSalt = Salt;
-  obs::TimerTree *Timers = Telem ? &Telem->Timers : nullptr;
-  obs::ScopedTimer PipeTimer(Timers, "pipeline");
+  const auto PipeStart = std::chrono::steady_clock::now();
   obs::SpanRecorder *Spans = Telem ? Telem->Spans : nullptr;
   obs::ScopedSpan PipeSpan(Spans, "opt.pipeline");
 
@@ -127,14 +127,13 @@ PipelineResult pseq::runPipeline(const Program &P,
     Report.Name = Name;
     Report.Method =
         Desc.WholeProgram ? ValidationMethod::Psna : Opts.Method;
-    // Phase nesting: pipeline / <pass> / {opt, validate}.
-    obs::ScopedTimer PassTimer(Timers, Name);
+    // Span nesting: opt.pipeline / <pass> / {opt.rewrite, opt.validate}.
     obs::ScopedSpan PassSpan(Spans, Name);
     PassResult PR = [&] {
-      obs::ScopedTimer OptTimer(Timers, "opt");
       obs::ScopedSpan OptSpan(Spans, "opt.rewrite");
+      const auto Start = std::chrono::steady_clock::now();
       PassResult R = Desc.Fn(*Out.Prog);
-      Report.OptMs = OptTimer.stop();
+      Report.OptMs = obs::msSince(Start);
       return R;
     }();
     Report.Rewrites = PR.Rewrites;
@@ -159,13 +158,11 @@ PipelineResult pseq::runPipeline(const Program &P,
     }
 
     if (Opts.Validate) {
-      ValidationResult V = [&] {
-        obs::ScopedSpan ValidateSpan(Spans, "opt.validate");
-        return Desc.WholeProgram
-                   ? validatePsTransform(*Out.Prog, *PR.Prog, PsValidateCfg)
-                   : validateTransform(*Out.Prog, *PR.Prog, ValidateCfg,
-                                       Opts.Method);
-      }();
+      ValidationResult V =
+          Desc.WholeProgram
+              ? validatePsTransform(*Out.Prog, *PR.Prog, PsValidateCfg)
+              : validateTransform(*Out.Prog, *PR.Prog, ValidateCfg,
+                                  Opts.Method);
       Report.Validated = V.Ok;
       Report.ValidationBounded = V.Bounded;
       Report.ValidationCause = V.Cause;
@@ -183,7 +180,6 @@ PipelineResult pseq::runPipeline(const Program &P,
         Report.Error = V.Counterexample;
         Out.AllValidated = false;
         if (Opts.ShrinkFailures) {
-          obs::ScopedTimer ShrinkTimer(Timers, "shrink");
           obs::ScopedSpan ShrinkSpan(Spans, "opt.shrink");
           RevalidateFn StillRejects = [&](const Program &S,
                                           const Program &T) {
@@ -204,6 +200,6 @@ PipelineResult pseq::runPipeline(const Program &P,
     Out.Prog = std::move(PR.Prog);
     Out.Reports.push_back(std::move(Report));
   }
-  Out.TotalMs = PipeTimer.stop();
+  Out.TotalMs = obs::msSince(PipeStart);
   return Out;
 }

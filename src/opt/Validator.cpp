@@ -52,11 +52,10 @@ ValidationResult pseq::validateTransform(const Program &Src,
          "whole-program method: use validatePsTransform");
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "validate");
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "opt.validate");
   // ElapsedMs is part of the result (not just telemetry), so it is
-  // measured unconditionally; the phase timer above only feeds the tree.
-  std::chrono::steady_clock::time_point Start =
-      std::chrono::steady_clock::now();
+  // measured unconditionally.
+  const auto Start = std::chrono::steady_clock::now();
 
   ValidationResult Out;
   Out.MethodUsed = Method;
@@ -193,10 +192,7 @@ ValidationResult pseq::validateTransform(const Program &Src,
     Out.Counterexample += std::string("[bounded: ") +
                           truncationCauseName(Out.Cause) + " truncation]";
   }
-  Timer.stop();
-  Out.ElapsedMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
+  Out.ElapsedMs = obs::msSince(Start);
 
   if (Telem) {
     obs::ScopedTally Tally(&Telem->Counters);
@@ -228,9 +224,8 @@ ValidationResult pseq::validatePsTransform(const Program &Src,
          "passes must preserve the thread structure");
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "validate");
-  std::chrono::steady_clock::time_point Start =
-      std::chrono::steady_clock::now();
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "opt.validate");
+  const auto Start = std::chrono::steady_clock::now();
 
   ValidationResult Out;
   Out.MethodUsed = ValidationMethod::Psna;
@@ -253,10 +248,7 @@ ValidationResult pseq::validatePsTransform(const Program &Src,
     Out.Counterexample += std::string("[bounded: ") +
                           truncationCauseName(Out.Cause) + " truncation]";
   }
-  Timer.stop();
-  Out.ElapsedMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
+  Out.ElapsedMs = obs::msSince(Start);
 
   if (Telem) {
     obs::ScopedTally Tally(&Telem->Counters);

@@ -339,8 +339,8 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
   std::deque<WorkItem> Work;
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "psna.explore");
   obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "psna.explore");
+  const auto Start = std::chrono::steady_clock::now();
   obs::ScopedTally Tally(Telem ? &Telem->Counters : nullptr);
   uint64_t &Runs = Tally.slot("psna.explore.runs");
   uint64_t &Expanded = Tally.slot("psna.explore.states_expanded");
@@ -510,7 +510,7 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
                     {"behaviors", uint64_t(Result.All.size())},
                     {"dedup_hits", DedupHits},
                     {"cause", truncationCauseName(Result.Cause)},
-                    {"ms", Timer.stop()}});
+                    {"ms", obs::msSince(Start)}});
     if (isGuardCause(Result.Cause))
       Telem->finalSnapshot(truncationCauseName(Result.Cause));
   }

@@ -14,6 +14,7 @@
 #include "support/Hashing.h"
 
 #include <cassert>
+#include <chrono>
 #include <unordered_map>
 
 using namespace pseq;
@@ -167,7 +168,8 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
   Cfg = resolveUniverse(Cfg, SrcP, SrcTid, TgtP, TgtTid);
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "seq.advanced");
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "seq.check.advanced");
+  const auto Start = std::chrono::steady_clock::now();
 
   SeqMachine SrcM(SrcP, SrcTid, Cfg);
   SeqMachine TgtM(TgtP, TgtTid, Cfg);
@@ -219,7 +221,8 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
           return;
         }
       });
-  observeRefinementCheck(Telem, "seq.check.advanced", Result, Timer.stop());
+  observeRefinementCheck(Telem, "seq.check.advanced", Result,
+                         obs::msSince(Start));
   return Result;
 }
 

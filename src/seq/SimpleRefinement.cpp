@@ -11,6 +11,7 @@
 #include "seq/InitSweep.h"
 
 #include <cassert>
+#include <chrono>
 
 using namespace pseq;
 
@@ -54,7 +55,8 @@ RefinementResult pseq::checkSimpleRefinement(const Program &SrcP,
   Cfg = resolveUniverse(Cfg, SrcP, SrcTid, TgtP, TgtTid);
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "seq.simple");
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "seq.check.simple");
+  const auto Start = std::chrono::steady_clock::now();
 
   SeqMachine SrcM(SrcP, SrcTid, Cfg);
   SeqMachine TgtM(TgtP, TgtTid, Cfg);
@@ -93,7 +95,8 @@ RefinementResult pseq::checkSimpleRefinement(const Program &SrcP,
           return;
         }
       });
-  observeRefinementCheck(Telem, "seq.check.simple", Result, Timer.stop());
+  observeRefinementCheck(Telem, "seq.check.simple", Result,
+                         obs::msSince(Start));
   return Result;
 }
 

@@ -4,8 +4,8 @@
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
 //
 // Covers the obs layer in isolation: counter/gauge registries and merge
-// semantics, ScopedTally flushing, the hierarchical timer tree, JSONL
-// escaping and the PSEQ_TRACE sink contract, and report determinism.
+// semantics, ScopedTally flushing, per-name span totals with self time,
+// JSONL escaping and the PSEQ_TRACE sink contract, and report determinism.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,6 @@
 #include "obs/Counters.h"
 #include "obs/Report.h"
 #include "obs/Telemetry.h"
-#include "obs/Timer.h"
 #include "obs/TraceSink.h"
 #include "seq/BehaviorEnum.h"
 #include "seq/SimpleRefinement.h"
@@ -29,6 +28,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <unistd.h>
 
@@ -144,62 +144,45 @@ TEST(Counters, ScopedTallySkipsZeroSlots) {
 }
 
 //===----------------------------------------------------------------------===//
-// Timers
+// Span totals
 //===----------------------------------------------------------------------===//
 
-TEST(Timers, NestedPhasesBuildPaths) {
-  TimerTree T;
-  T.enter("pipeline");
-  T.enter("slf");
-  T.exit(1.5);
-  T.enter("validate");
-  T.exit(2.0);
-  T.exit(4.0);
-  std::vector<TimerTree::Row> Rows = T.rows();
-  ASSERT_EQ(Rows.size(), 3u);
-  EXPECT_EQ(Rows[0].Path, "pipeline");
-  EXPECT_EQ(Rows[0].Depth, 0u);
-  EXPECT_DOUBLE_EQ(Rows[0].Ms, 4.0);
-  EXPECT_EQ(Rows[1].Path, "pipeline/slf");
-  EXPECT_EQ(Rows[1].Depth, 1u);
-  EXPECT_EQ(Rows[2].Path, "pipeline/validate");
-  EXPECT_DOUBLE_EQ(Rows[2].Ms, 2.0);
-}
-
-TEST(Timers, ReenteringAPhaseAccumulates) {
-  TimerTree T;
-  for (int I = 0; I != 3; ++I) {
-    T.enter("phase");
-    T.exit(1.0);
-  }
-  std::vector<TimerTree::Row> Rows = T.rows();
-  ASSERT_EQ(Rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(Rows[0].Ms, 3.0);
-  EXPECT_EQ(Rows[0].Count, 3u);
-}
-
-TEST(Timers, ScopedTimerRecordsOnce) {
-  TimerTree T;
+TEST(SpanTotals, SelfTimeExcludesDirectChildren) {
+  SpanRecorder R;
   {
-    ScopedTimer Outer(&T, "outer");
-    ScopedTimer Inner(&T, "inner");
-    double Ms = Inner.stop();
-    EXPECT_GE(Ms, 0.0);
-    // Second stop is idempotent: nothing further is recorded and the
-    // outer phase is not closed.
-    EXPECT_DOUBLE_EQ(Inner.stop(), 0.0);
+    ScopedSpan Outer(&R, "outer");
+    for (int I = 0; I != 3; ++I) {
+      ScopedSpan Inner(&R, "inner");
+      ScopedSpan Leaf(&R, "leaf");
+    }
   }
-  std::vector<TimerTree::Row> Rows = T.rows();
-  ASSERT_EQ(Rows.size(), 2u);
-  EXPECT_EQ(Rows[0].Path, "outer");
-  EXPECT_EQ(Rows[1].Path, "outer/inner");
-  EXPECT_EQ(Rows[0].Count, 1u);
-  EXPECT_EQ(Rows[1].Count, 1u);
+  std::vector<SpanTotal> T = spanTotals(R);
+  ASSERT_EQ(T.size(), 3u);
+  // Sorted by name; re-entered names accumulate.
+  EXPECT_EQ(T[0].Name, "inner");
+  EXPECT_EQ(T[0].Count, 3u);
+  EXPECT_EQ(T[1].Name, "leaf");
+  EXPECT_EQ(T[1].Count, 3u);
+  EXPECT_EQ(T[2].Name, "outer");
+  EXPECT_EQ(T[2].Count, 1u);
+  // A span's self time subtracts its direct children only: leaf time is
+  // charged to inner, inner time to outer.
+  EXPECT_DOUBLE_EQ(T[1].SelfMs, T[1].Ms);
+  EXPECT_NEAR(T[0].SelfMs, T[0].Ms - T[1].Ms, 1e-9);
+  EXPECT_NEAR(T[2].SelfMs, T[2].Ms - T[0].Ms, 1e-9);
+  EXPECT_GE(T[2].Ms, T[0].Ms);
 }
 
-TEST(Timers, NullTreeScopedTimerIsNoop) {
-  ScopedTimer Timer(nullptr, "nothing");
-  EXPECT_DOUBLE_EQ(Timer.stop(), 0.0);
+TEST(SpanTotals, LanesAggregateByName) {
+  SpanRecorder R;
+  std::thread Worker([&] { ScopedSpan S(&R, "work"); });
+  Worker.join();
+  { ScopedSpan S(&R, "work"); }
+  ASSERT_EQ(R.lanes(), 2u);
+  std::vector<SpanTotal> T = spanTotals(R);
+  ASSERT_EQ(T.size(), 1u);
+  EXPECT_EQ(T[0].Count, 2u);
+  EXPECT_DOUBLE_EQ(T[0].SelfMs, T[0].Ms);
 }
 
 //===----------------------------------------------------------------------===//
@@ -305,10 +288,6 @@ void populate(Telemetry &T) {
   T.Counters.add("z.last", 1);
   T.Counters.add("a.first", 2);
   T.Counters.setGauge("m.gauge", 4.5);
-  T.Timers.enter("outer");
-  T.Timers.enter("inner");
-  T.Timers.exit(1.0);
-  T.Timers.exit(2.0);
 }
 
 } // namespace
@@ -327,17 +306,37 @@ TEST(Report, JsonIsDeterministicAcrossIdenticalRuns) {
   EXPECT_LT(First, Last);
   EXPECT_NE(JA.find("\"counters\":{"), std::string::npos);
   EXPECT_NE(JA.find("\"gauges\":{"), std::string::npos);
-  EXPECT_NE(JA.find("\"timers\":["), std::string::npos);
-  EXPECT_NE(JA.find("\"path\":\"outer/inner\""), std::string::npos);
+  // No recorder attached: the span list is present and empty.
+  EXPECT_NE(JA.find("\"spans\":[]"), std::string::npos);
+}
+
+TEST(Report, JsonListsSpanTotals) {
+  Telemetry T;
+  SpanRecorder R;
+  T.Spans = &R;
+  {
+    ScopedSpan Outer(&R, "outer");
+    ScopedSpan Inner(&R, "inner");
+  }
+  std::string J = renderReportJson(T);
+  EXPECT_NE(J.find("{\"name\":\"inner\",\"count\":1,\"ms\":"),
+            std::string::npos);
+  EXPECT_NE(J.find("{\"name\":\"outer\",\"count\":1,\"ms\":"),
+            std::string::npos);
+  EXPECT_NE(J.find("\"self_ms\":"), std::string::npos);
 }
 
 TEST(Report, TableListsEverySection) {
   Telemetry T;
   populate(T);
+  SpanRecorder R;
+  T.Spans = &R;
+  { ScopedSpan S(&R, "inner"); }
   std::string Table = renderReportTable(T);
   EXPECT_NE(Table.find("counters"), std::string::npos);
   EXPECT_NE(Table.find("gauges"), std::string::npos);
-  EXPECT_NE(Table.find("timers"), std::string::npos);
+  EXPECT_NE(Table.find("spans"), std::string::npos);
+  EXPECT_NE(Table.find("self ms"), std::string::npos);
   EXPECT_NE(Table.find("a.first"), std::string::npos);
   EXPECT_NE(Table.find("inner"), std::string::npos);
 

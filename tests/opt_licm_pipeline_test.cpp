@@ -186,6 +186,28 @@ TEST(PipelineTest, SimulationMethodValidatesLicmExactly) {
   EXPECT_TRUE(LicmRan);
 }
 
+TEST(PipelineTest, TimesPassesWithTelemetryOff) {
+  // OptMs, ValidateMs and TotalMs are results, not telemetry: an untraced
+  // run (no Telemetry anywhere) still reports them.
+  auto P = prog("na x;\n"
+                "thread { x@na := 1; a := x@na; return a; }");
+  PipelineOptions Opts;
+  Opts.Cfg.Domain = ValueDomain({0, 1});
+  ASSERT_EQ(Opts.Telem, nullptr);
+  ASSERT_EQ(Opts.Cfg.Telem, nullptr);
+  PipelineResult R = runPipeline(*P, Opts);
+  bool Rewrote = false;
+  for (const PassReport &Rep : R.Reports) {
+    if (Rep.Rewrites == 0)
+      continue;
+    Rewrote = true;
+    EXPECT_GT(Rep.OptMs, 0.0) << Rep.Name;
+    EXPECT_GT(Rep.ValidateMs, 0.0) << Rep.Name;
+  }
+  EXPECT_TRUE(Rewrote);
+  EXPECT_GT(R.TotalMs, 0.0);
+}
+
 TEST(PipelineTest, IdempotentOnOptimizedOutput) {
   auto P = prog("na x;\n"
                 "thread { x@na := 1; a := x@na; b := x@na; return a + b; }");

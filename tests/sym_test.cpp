@@ -11,7 +11,8 @@
 //   * symbolic Sound   must never meet an enumerative counterexample,
 //   * symbolic Unsound must carry an enumerative-confirmed witness,
 //   * Inconclusive is always legal (but regressions in decision coverage
-//     are pinned by the sym-summary baseline, scripts/check_bench_baseline.py).
+//     are pinned by the sym group of BENCH_BASELINE.json, which
+//     tools/check_bench_baseline.py checks).
 //
 // Any disagreement is a hard test failure. The suite also pins the
 // tentpole claim: spin-loop RealWorld threads where the enumerative

@@ -88,8 +88,8 @@ engineSpans(unsigned NumThreads,
 }
 
 /// Checks that \p Run records the same non-empty span multiset at 1, 2
-/// and 8 workers.
-void expectSpansThreadInvariant(
+/// and 8 workers, and \returns the one-worker multiset.
+std::map<std::string, uint64_t> expectSpansThreadInvariant(
     const char *What,
     const std::function<void(unsigned, obs::Telemetry *)> &Run) {
   std::map<std::string, uint64_t> S1 = engineSpans(1, Run);
@@ -98,6 +98,7 @@ void expectSpansThreadInvariant(
   EXPECT_FALSE(S1.empty()) << What << ": no spans recorded";
   EXPECT_EQ(S1, S2) << What << ": span set diverged at 2 workers";
   EXPECT_EQ(S1, S8) << What << ": span set diverged at 8 workers";
+  return S1;
 }
 
 CorpusTelemetry explorePsnaCorpus(unsigned NumThreads) {
@@ -249,7 +250,8 @@ TEST(TraceDeterminismTest, AdequacySpansThreadInvariant) {
       continue;
     std::unique_ptr<Program> Src = parseOrDie(RC.Src);
     std::unique_ptr<Program> Tgt = parseOrDie(RC.Tgt);
-    expectSpansThreadInvariant(
+    size_t Applicable = 0;
+    std::map<std::string, uint64_t> Spans = expectSpansThreadInvariant(
         RC.Name.c_str(), [&](unsigned N, obs::Telemetry *Telem) {
           SeqConfig SeqCfg;
           SeqCfg.Domain = RC.Domain;
@@ -259,8 +261,16 @@ TEST(TraceDeterminismTest, AdequacySpansThreadInvariant) {
           PsCfg.PromiseBudget = 0;
           SeqCfg.NumThreads = PsCfg.NumThreads = N;
           SeqCfg.Telem = PsCfg.Telem = Telem;
-          runAdequacy(RC.Name, *Src, *Tgt, SeqCfg, PsCfg, RC.HasLoops);
+          Applicable = runAdequacy(RC.Name, *Src, *Tgt, SeqCfg, PsCfg,
+                                   RC.HasLoops)
+                           .Contexts.size();
         });
+    // Each applicable context records one adequacy.context span into the
+    // shared recorder, on whichever worker ran it; the multisets above are
+    // equal, so this holds at 1, 2 and 8 workers.
+    EXPECT_GT(Applicable, 0u) << RC.Name;
+    EXPECT_EQ(Spans["adequacy.context"], Applicable) << RC.Name;
+    EXPECT_EQ(Spans["adequacy.pair"], 1u) << RC.Name;
   }
 }
 

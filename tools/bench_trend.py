@@ -2,8 +2,8 @@
 """Bench-trend pipeline: history, regression gate, and markdown rendering.
 
 Extends tools/check_bench_baseline.py (imported, not duplicated): that
-script gates the *deterministic* memo/lint counters; this one tracks the
-*timing* side across runs.
+script gates *deterministic* counters against BENCH_BASELINE.json; this
+one tracks the *timing* side across runs.
 
 Three modes plus a self-test:
 

@@ -1,98 +1,33 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for the memoization layer.
+"""Baseline gate: holds a run's counters to the rows of BENCH_BASELINE.json.
 
-Two modes:
+    check_bench_baseline.py --baseline BENCH_BASELINE.json --group NAME INPUT
+    check_bench_baseline.py --baseline BENCH_BASELINE.json --self-test
 
-  check_bench_baseline.py --baseline BENCH_BASELINE.json --summary FILE
-      FILE holds the output of `litmus_explorer --sweep N` (only the final
-      "memo summary:" line is read; piping the whole stdout works). Fails
-      when states_explored grew more than --tolerance (default 10%) over
-      the baseline, when the cache hit-rate dropped, or when the run no
-      longer beats the recorded no-memo state count by at least 2x.
+BENCH_BASELINE.json maps each group name to {"comment": ..., "rows": [...]}.
+A row is {"key": K, "op": OP, "value": V} with OP one of ==, <= and >=; a
+tolerance is written into V (a count allowed to grow 10% has V = 1.1 x the
+pinned count, rounded down).
 
-  check_bench_baseline.py --bench-json FILE
-      FILE is a bench_* --json dump. Sanity-checks the "memo" block: it
-      must exist, report enabled=true, and count at least one explored
-      state, so a silently unwired memo context fails loudly.
+INPUT is either a JSONL trace, whose last run.final record supplies the
+keys (litmus_explorer --trace PATH, PSEQ_TRACE=PATH atlas_report), or one
+JSON object (bench_* --json, validate_client --bench-out), whose nested
+members are flattened to dotted keys (memo.states_explored). A row whose
+key the input lacks fails, and so does a trace without a run.final record.
 
-  check_bench_baseline.py --baseline BENCH_SERVER.json --server-json FILE
-      FILE is a `validate_client --bench-out` dump from a warm-cache batch
-      against validate_server. Fails on any coverage violation (missing or
-      duplicate replies tracked by the client, failed jobs), or when the
-      cross-request cache hit rate drops below the recorded floor.
-      jobs/sec is printed but never gated — wall-clock throughput on
-      shared CI runners is noise; the hit rate and coverage are the
-      deterministic signals.
-
-  check_bench_baseline.py --baseline BENCH_BASELINE.json --realworld-summary FILE
-      FILE holds the output of `litmus_explorer --corpus realworld` (only
-      the final "realworld summary:" line is read). Fails when the corpus
-      shrinks below the recorded realworld_cases / realworld_protocols
-      floors (the corpus may only grow), when any protocol loses its
-      mutant (mutants < protocols), when a mutant's injected bug is no
-      longer exhibited (bad_exhibited != mutants), on any annotation
-      failure, when total states grow past --tolerance over
-      realworld_states, or when throughput falls below the absurdly-low
-      realworld_states_per_sec_floor (a machine-independent smoke floor,
-      not a perf target).
-
-  check_bench_baseline.py --baseline BENCH_BASELINE.json --sym-summary FILE
-      FILE holds the output of `litmus_explorer --corpus realworld --method
-      sym` (only the final "sym summary:" line is read). Fails on any
-      symbolic-vs-enumerative disagreement (the zero-disagreement contract
-      is the whole point of the differential sweep), when the number of
-      protocol threads checked shrinks below sym_checked_floor, when fewer
-      threads are decided Sound than sym_sound_floor, when the count of
-      threads the symbolic backend decides where the enumerative checker
-      can only truncate falls below sym_decided_cases (the backend's
-      raison d'être — see EXPERIMENTS.md E23), or when any Unsound verdict
-      appears on the protocol corpus (every protocol thread trivially
-      refines itself).
-
-  check_bench_baseline.py --baseline BENCH_BASELINE.json --atlas-summary FILE
-      FILE holds the output of `atlas_report` (only the final
-      "atlas summary:" line is read). Fails when the validator
-      negative-test corpus (unsound + seq_incomplete entries) shrinks
-      below the recorded atlas_unsound_entries — the corpus may only
-      grow — when the template count shrinks, or when the ⊑w-vs-PS^na
-      mismatch count differs from the pinned atlas_mismatch_entries
-      (that set documents the explorer's unmodeled-reservation gap and
-      must change only with an explicit baseline update).
-
-The inputs are deterministic (state counts and cache counters, never
-timings), so failures are reproducible locally with the same commands.
+--self-test checks the comparator: for every row of every group, a value
+just past the row's bound must fail, and so must a missing key and a trace
+without a run.final record.
 """
 
 import argparse
 import json
-import re
+import operator
+import os
 import sys
+import tempfile
 
-SUMMARY_RE = re.compile(
-    r"memo summary: sweeps=(\d+) states_explored=(\d+) "
-    r"memo_hits=(\d+) memo_misses=(\d+) pruned_states=(\d+)"
-)
-
-LINT_RE = re.compile(
-    r"lint summary: race_free=(\d+) potentially_racy=(\d+) "
-    r"atomics_only=(\d+) race_free_states=(\d+)"
-)
-
-REALWORLD_RE = re.compile(
-    r"realworld summary: cases=(\d+) protocols=(\d+) mutants=(\d+) "
-    r"bad_exhibited=(\d+) annotation_failures=(\d+) states=(\d+) "
-    r"elapsed_ms=(\d+) states_per_sec=(\d+)"
-)
-
-SYM_RE = re.compile(
-    r"sym summary: checked=(\d+) sound=(\d+) unsound=(\d+) "
-    r"inconclusive=(\d+) decided_where_truncated=(\d+) disagreements=(\d+)"
-)
-
-ATLAS_RE = re.compile(
-    r"atlas summary: entries=(\d+) sound=(\d+) unsound=(\d+) "
-    r"seq_incomplete=(\d+) mismatch=(\d+) bounded=(\d+)"
-)
+OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 def fail(msg):
@@ -100,372 +35,159 @@ def fail(msg):
     sys.exit(1)
 
 
-def parse_summary(path):
-    text = open(path).read()
-    matches = SUMMARY_RE.findall(text)
-    if not matches:
-        fail(f"no 'memo summary:' line found in {path}")
-    sweeps, states, hits, misses, pruned = map(int, matches[-1])
-    out = {
-        "sweeps": sweeps,
-        "states_explored": states,
-        "memo_hits": hits,
-        "memo_misses": misses,
-        "pruned_states": pruned,
-    }
-    lint = LINT_RE.findall(text)
-    if lint:
-        race_free, racy, atomics, rf_states = map(int, lint[-1])
-        out["lint_proved_cases"] = race_free + atomics
-        out["lint_race_free_states"] = rf_states
+class GateError(Exception):
+    pass
+
+
+def load_baseline(path):
+    """Returns {group: rows}, failing on any row that is not {key, op,
+    value} with a known op."""
+    with open(path) as f:
+        groups = json.load(f)
+    out = {}
+    for name, group in groups.items():
+        if set(group) != {"comment", "rows"} or not group["rows"]:
+            fail(f"{path}: group '{name}' needs a comment and rows")
+        for row in group["rows"]:
+            if set(row) != {"key", "op", "value"} or row["op"] not in OPS:
+                fail(f"{path}: group '{name}': bad row {row}")
+        out[name] = group["rows"]
     return out
 
 
-def hit_rate(hits, misses):
-    total = hits + misses
-    return hits / total if total else 0.0
+def flatten(obj, prefix=""):
+    out = {}
+    for k, v in obj.items():
+        if isinstance(v, dict):
+            out.update(flatten(v, f"{prefix}{k}."))
+        else:
+            out[f"{prefix}{k}"] = v
+    return out
 
 
-def check_summary(args):
-    base = json.load(open(args.baseline))
-    cur = parse_summary(args.summary)
-
-    if cur["sweeps"] != base["sweeps"]:
-        fail(
-            f"sweep count mismatch: run used --sweep {cur['sweeps']}, "
-            f"baseline was recorded with --sweep {base['sweeps']}"
-        )
-
-    limit = base["states_explored"] * (1.0 + args.tolerance)
-    if cur["states_explored"] > limit:
-        fail(
-            f"states_explored grew: {cur['states_explored']} vs baseline "
-            f"{base['states_explored']} (limit {limit:.0f}, "
-            f"+{args.tolerance:.0%})"
-        )
-
-    base_rate = hit_rate(base["memo_hits"], base["memo_misses"])
-    cur_rate = hit_rate(cur["memo_hits"], cur["memo_misses"])
-    if cur_rate + 1e-9 < base_rate:
-        fail(
-            f"cache hit-rate dropped: {cur_rate:.3f} vs baseline "
-            f"{base_rate:.3f} (hits={cur['memo_hits']} "
-            f"misses={cur['memo_misses']})"
-        )
-
-    no_memo = base.get("no_memo_states_explored")
-    if no_memo and cur["states_explored"] * 2 > no_memo:
-        fail(
-            f"memoized run no longer halves the unmemoized exploration: "
-            f"{cur['states_explored']} * 2 > {no_memo}"
-        )
-
-    # Lint gate: the analyzer must keep proving at least as many corpus
-    # cases safe as the baseline records, and exploring the proved
-    # race-free corpus must not cost more states than the baseline allows
-    # (the NAMsg-marker suppression is what keeps this number down).
-    if "lint_proved_cases" in base:
-        if "lint_proved_cases" not in cur:
-            fail("baseline has lint fields but no 'lint summary:' line "
-                 f"found in {args.summary} (run without --no-lint)")
-        if cur["lint_proved_cases"] < base["lint_proved_cases"]:
-            fail(
-                f"lint proved fewer cases safe: {cur['lint_proved_cases']} "
-                f"vs baseline {base['lint_proved_cases']}"
-            )
-        rf_limit = base["lint_race_free_states"] * (1.0 + args.tolerance)
-        if cur["lint_race_free_states"] > rf_limit:
-            fail(
-                f"states explored on the proved race-free corpus grew: "
-                f"{cur['lint_race_free_states']} vs baseline "
-                f"{base['lint_race_free_states']} (limit {rf_limit:.0f})"
-            )
-
-    print(
-        f"check_bench_baseline: OK: states_explored="
-        f"{cur['states_explored']} (baseline {base['states_explored']}), "
-        f"hit-rate {cur_rate:.3f} (baseline {base_rate:.3f}), "
-        f"{no_memo / cur['states_explored']:.2f}x under the no-memo count"
-        if no_memo
-        else "check_bench_baseline: OK"
-    )
+def load_values(path):
+    """The keys INPUT supplies: a JSON object flattened, or a JSONL
+    trace's last run.final record."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        obj = None
+    if isinstance(obj, dict) and "ev" not in obj:
+        return flatten(obj)
+    final = None
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise GateError(f"{path}:{n}: not JSON ({e})")
+        if isinstance(rec, dict) and rec.get("ev") == "run.final":
+            final = rec
+    if final is None:
+        raise GateError(f"no run.final record in {path} (was the run traced?)")
+    return final
 
 
-def check_realworld_summary(args):
-    base = json.load(open(args.baseline))
-    text = open(args.realworld_summary).read()
-    matches = REALWORLD_RE.findall(text)
-    if not matches:
-        fail(f"no 'realworld summary:' line found in {args.realworld_summary}")
-    cases, protocols, mutants, bad, ann_failures, states, _elapsed, sps = map(
-        int, matches[-1]
-    )
-
-    if "realworld_cases" not in base:
-        fail(f"{args.baseline} has no realworld_cases field")
-
-    if cases < base["realworld_cases"]:
-        fail(
-            f"realworld corpus shrank: {cases} cases vs baseline "
-            f"{base['realworld_cases']} — the corpus may only grow"
-        )
-    if protocols < base.get("realworld_protocols", 0):
-        fail(
-            f"realworld protocols shrank: {protocols} vs baseline "
-            f"{base['realworld_protocols']}"
-        )
-    if mutants < protocols:
-        fail(
-            f"only {mutants} mutants for {protocols} protocols — every "
-            f"protocol must keep at least one broken mutant"
-        )
-    if bad != mutants:
-        fail(
-            f"bad_exhibited={bad} but mutants={mutants} — some mutant's "
-            f"injected bug is no longer exhibited by PS^na; the mutant "
-            f"distinguishes nothing"
-        )
-    if ann_failures:
-        fail(f"{ann_failures} annotation failures — see the per-case lines")
-
-    limit = base["realworld_states"] * (1.0 + args.tolerance)
-    if states > limit:
-        fail(
-            f"realworld states grew: {states} vs baseline "
-            f"{base['realworld_states']} (limit {limit:.0f}, "
-            f"+{args.tolerance:.0%})"
-        )
-
-    floor = base.get("realworld_states_per_sec_floor", 0)
-    if sps < floor:
-        fail(
-            f"realworld throughput collapsed: {sps} states/sec vs the "
-            f"absurdly-low floor {floor} — something is catastrophically "
-            f"slower (timings are otherwise never gated)"
-        )
-
-    print(
-        f"check_bench_baseline: OK: realworld cases={cases} "
-        f"protocols={protocols} mutants={mutants} bad_exhibited={bad} "
-        f"states={states} (baseline {base['realworld_states']}), "
-        f"{sps} states/sec (floor {floor})"
-    )
+def check(rows, values):
+    """Returns one message per row of rows that values violates."""
+    failures = []
+    for row in rows:
+        key, op, want = row["key"], row["op"], row["value"]
+        if key not in values:
+            failures.append(f"{key} missing from the input")
+        elif not OPS[op](values[key], want):
+            failures.append(f"{key} = {values[key]}, want {op} {want}")
+    return failures
 
 
-def check_sym_summary(args):
-    base = json.load(open(args.baseline))
-    text = open(args.sym_summary).read()
-    matches = SYM_RE.findall(text)
-    if not matches:
-        fail(f"no 'sym summary:' line found in {args.sym_summary}")
-    checked, sound, unsound, inconclusive, decided, disagreements = map(
-        int, matches[-1]
-    )
-
-    if "sym_decided_cases" not in base:
-        fail(f"{args.baseline} has no sym_decided_cases field")
-
-    if disagreements:
-        fail(
-            f"{disagreements} symbolic-vs-enumerative disagreements — the "
-            f"differential sweep's zero-disagreement contract is broken; "
-            f"see the per-thread lines for the offending verdicts"
-        )
-    if unsound:
-        fail(
-            f"{unsound} protocol threads reported Unsound on the "
-            f"self-refinement sweep — every thread trivially refines "
-            f"itself, so this is a symbolic-backend soundness bug"
-        )
-    if checked < base.get("sym_checked_floor", 0):
-        fail(
-            f"sym sweep checked only {checked} protocol threads vs "
-            f"baseline floor {base['sym_checked_floor']} — the RealWorld "
-            f"corpus may only grow"
-        )
-    if sound < base.get("sym_sound_floor", 0):
-        fail(
-            f"only {sound} protocol threads decided Sound vs baseline "
-            f"floor {base['sym_sound_floor']} — the abstraction got "
-            f"coarser (inconclusive={inconclusive})"
-        )
-    if decided < base["sym_decided_cases"]:
-        fail(
-            f"symbolic backend decided only {decided} threads where the "
-            f"enumerative checker truncates, vs baseline "
-            f"{base['sym_decided_cases']} — the backend's coverage "
-            f"advantage regressed (EXPERIMENTS.md E23)"
-        )
-
-    print(
-        f"check_bench_baseline: OK: sym checked={checked} sound={sound} "
-        f"inconclusive={inconclusive} "
-        f"decided_where_truncated={decided} "
-        f"(floor {base['sym_decided_cases']}), disagreements=0"
-    )
+def past(row):
+    """A value just past the row's bound."""
+    v, op = row["value"], row["op"]
+    if isinstance(v, bool):
+        return not v
+    step = 1 if isinstance(v, int) else max(abs(v), 1.0) * 1e-6
+    return v - step if op == ">=" else v + step
 
 
-def check_atlas_summary(args):
-    base = json.load(open(args.baseline))
-    text = open(args.atlas_summary).read()
-    matches = ATLAS_RE.findall(text)
-    if not matches:
-        fail(f"no 'atlas summary:' line found in {args.atlas_summary}")
-    entries, sound, unsound, seq_inc, mismatch, bounded = map(
-        int, matches[-1]
-    )
+def self_test(groups):
+    def expect(cond, what):
+        if not cond:
+            fail(f"self-test: {what}")
 
-    if "atlas_unsound_entries" not in base:
-        fail(f"{args.baseline} has no atlas_unsound_entries field")
+    tripped = 0
+    for name, rows in groups.items():
+        at_bound = {r["key"]: r["value"] for r in rows}
+        expect(not check(rows, at_bound), f"{name}: the bounds themselves fail")
+        for row in rows:
+            values = dict(at_bound, **{row["key"]: past(row)})
+            expect(check(rows, values),
+                   f"{name}: {row['key']} = {past(row)} passed {row['op']} "
+                   f"{row['value']}")
+            values = dict(at_bound)
+            del values[row["key"]]
+            expect(check(rows, values), f"{name}: missing {row['key']} passed")
+            tripped += 1
 
-    if entries < base.get("atlas_entries", 0):
-        fail(
-            f"atlas shrank: {entries} templates vs baseline "
-            f"{base['atlas_entries']} — the template grid may only grow"
-        )
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, lines):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as f:
+                f.write("".join(json.dumps(x) + "\n" for x in lines))
+            return path
 
-    negative = unsound + seq_inc
-    if negative < base["atlas_unsound_entries"]:
-        fail(
-            f"validator negative-test corpus shrank: {negative} "
-            f"(unsound={unsound} + seq_incomplete={seq_inc}) vs baseline "
-            f"{base['atlas_unsound_entries']} — entries the SEQ checkers "
-            f"reject may only be added, never lost"
-        )
+        no_final = write("no-final.jsonl", [{"seq": 0, "ev": "psna.explore"}])
+        try:
+            load_values(no_final)
+            fail("self-test: a trace without run.final was accepted")
+        except GateError:
+            pass
+        trace = write("trace.jsonl", [
+            {"seq": 0, "ev": "run.final", "reason": "deadline", "a.b": 1},
+            {"seq": 1, "ev": "run.final", "reason": "complete", "a.b": 2}])
+        expect(load_values(trace)["a.b"] == 2, "not the last run.final read")
+        obj = write("bench.json", [{"memo": {"enabled": True}, "jobs": 3}])
+        expect(load_values(obj) == {"memo.enabled": True, "jobs": 3},
+               "JSON object not flattened to dotted keys")
 
-    pinned = base.get("atlas_mismatch_entries", 0)
-    if mismatch != pinned:
-        fail(
-            f"⊑w-vs-PS^na mismatch count changed: {mismatch} vs pinned "
-            f"{pinned} — a new checker soundness bug, a fixed one, or a "
-            f"change to the explorer's reservation modeling; inspect "
-            f"tests/golden/atlas.md and update the baseline deliberately"
-        )
-
-    if bounded:
-        fail(
-            f"{bounded} atlas entries were budget-truncated — verdicts "
-            f"are not trustworthy; raise the budgets"
-        )
-
-    print(
-        f"check_bench_baseline: OK: atlas entries={entries} "
-        f"sound={sound} negative={negative} "
-        f"(baseline floor {base['atlas_unsound_entries']}), "
-        f"mismatch={mismatch} (pinned)"
-    )
-
-
-def check_bench_json(args):
-    data = json.load(open(args.bench_json))
-    memo = data.get("memo")
-    if memo is None:
-        fail(f"no 'memo' block in {args.bench_json}")
-    if not memo.get("enabled"):
-        fail("memo block reports enabled=false (run without --no-memo)")
-    for key in ("states_explored", "memo_hits", "memo_misses",
-                "pruned_states"):
-        if key not in memo:
-            fail(f"memo block missing '{key}'")
-    if memo["states_explored"] <= 0:
-        fail("memo block counted zero explored states — telemetry unwired?")
-    print(
-        f"check_bench_baseline: OK: bench memo block "
-        f"states_explored={memo['states_explored']} "
-        f"hits={memo['memo_hits']} misses={memo['memo_misses']} "
-        f"pruned={memo['pruned_states']}"
-    )
-
-
-def check_server_json(args):
-    base = json.load(open(args.baseline))
-    cur = json.load(open(args.server_json))
-
-    for key in ("jobs", "jobs_per_sec", "cache_hit_rate", "failed",
-                "duplicate_replies"):
-        if key not in cur:
-            fail(f"server bench dump missing '{key}' (regenerate with "
-                 f"validate_client --bench-out)")
-
-    min_jobs = base.get("min_jobs", 1)
-    if cur["jobs"] < min_jobs:
-        fail(
-            f"batch answered only {cur['jobs']} jobs "
-            f"(baseline expects at least {min_jobs}) — replies were lost"
-        )
-    if cur["failed"]:
-        fail(
-            f"{cur['failed']} jobs ended in crash/oom/deadline — every "
-            f"corpus job must produce a verdict on a healthy server"
-        )
-    if cur["duplicate_replies"]:
-        fail(
-            f"{cur['duplicate_replies']} duplicate replies — the "
-            f"exactly-one-verdict-per-job contract is broken"
-        )
-
-    floor = base.get("cache_hit_rate_floor", 0.0)
-    if cur["cache_hit_rate"] + 1e-9 < floor:
-        fail(
-            f"warm-cache hit rate dropped: {cur['cache_hit_rate']:.3f} vs "
-            f"floor {floor:.3f} — the snapshot restore or the verdict "
-            f"cache regressed"
-        )
-
-    print(
-        f"check_bench_baseline: OK: server batch jobs={cur['jobs']} "
-        f"hit-rate {cur['cache_hit_rate']:.3f} (floor {floor:.3f}), "
-        f"{cur['jobs_per_sec']:.1f} jobs/sec (informational)"
-    )
+    print(f"check_bench_baseline: self-test OK: {tripped} rows in "
+          f"{len(groups)} groups each failed past their bound and when "
+          f"missing; a trace without run.final failed")
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", help="BENCH_BASELINE.json path")
-    ap.add_argument("--summary", help="file with litmus_explorer output")
-    ap.add_argument("--bench-json", help="bench_* --json dump to sanity-check")
-    ap.add_argument(
-        "--atlas-summary", help="file with atlas_report output to gate"
-    )
-    ap.add_argument(
-        "--sym-summary",
-        help="file with `litmus_explorer --corpus realworld --method sym` "
-        "output to gate",
-    )
-    ap.add_argument(
-        "--realworld-summary",
-        help="file with `litmus_explorer --corpus realworld` output to gate",
-    )
-    ap.add_argument(
-        "--server-json",
-        help="validate_client --bench-out dump to gate against the baseline",
-    )
-    ap.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative growth in states_explored (default 0.10)",
-    )
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--baseline", required=True,
+                    help="BENCH_BASELINE.json path")
+    ap.add_argument("--group", help="the baseline group to check INPUT with")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the comparator against every baseline row")
+    ap.add_argument("input", nargs="?",
+                    help="JSONL trace (run.final) or JSON object")
     args = ap.parse_args()
 
-    if args.bench_json:
-        check_bench_json(args)
-    elif args.baseline and args.server_json:
-        check_server_json(args)
-    elif args.baseline and args.realworld_summary:
-        check_realworld_summary(args)
-    elif args.baseline and args.sym_summary:
-        check_sym_summary(args)
-    elif args.baseline and args.atlas_summary:
-        check_atlas_summary(args)
-    elif args.baseline and args.summary:
-        check_summary(args)
-    else:
-        ap.error(
-            "need --baseline with --summary, --realworld-summary, "
-            "--sym-summary, --atlas-summary, or --server-json, or "
-            "--bench-json"
-        )
+    groups = load_baseline(args.baseline)
+    if args.self_test:
+        self_test(groups)
+        return
+    if not args.group or not args.input:
+        ap.error("need --group NAME and INPUT (or --self-test)")
+    if args.group not in groups:
+        fail(f"no group '{args.group}' in {args.baseline} "
+             f"(groups: {', '.join(sorted(groups))})")
+    rows = groups[args.group]
+    try:
+        values = load_values(args.input)
+    except (OSError, GateError) as e:
+        fail(str(e))
+    failures = check(rows, values)
+    if failures:
+        fail(f"group {args.group}: " + "; ".join(failures))
+    print(f"check_bench_baseline: OK: group {args.group}: " +
+          ", ".join(f"{r['key']}={values[r['key']]}" for r in rows))
 
 
 if __name__ == "__main__":

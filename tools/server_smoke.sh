@@ -10,16 +10,16 @@
 # Phase 2: SIGTERM the server; it must exit with the distinct graceful
 #   code (75) and leave a nonempty cache snapshot on disk.
 # Phase 3: restart the server on the same snapshot, run the same batch,
-#   write the --bench-out dump, and gate it with check_bench_baseline.py:
-#   full coverage, zero failures, and a warm-cache hit rate at or above
-#   the BENCH_SERVER.json floor.
+#   write the --bench-out dump, and gate it with check_bench_baseline.py
+#   --group server: full coverage, zero failures, and a warm-cache hit
+#   rate at or above the BENCH_BASELINE.json floor.
 # Phase 4: stop the restarted server via the shutdown op (exit 0).
 set -u
 
 BUILD_DIR=${1:-build}
 SERVER=$BUILD_DIR/examples/validate_server
 CLIENT=$BUILD_DIR/examples/validate_client
-BASELINE=$(dirname "$0")/../BENCH_SERVER.json
+BASELINE=$(dirname "$0")/../BENCH_BASELINE.json
 
 WORK=$(mktemp -d /tmp/pseq-server-smoke-XXXXXX)
 SOCK=$WORK/pseq.sock
@@ -87,7 +87,7 @@ wait_for_socket || fail "restarted server did not come up"
   --bench-out "$WORK/bench.json" \
   || fail "warm batch lost or duplicated replies"
 python3 "$(dirname "$0")/check_bench_baseline.py" \
-  --baseline "$BASELINE" --server-json "$WORK/bench.json" \
+  --baseline "$BASELINE" --group server "$WORK/bench.json" \
   || fail "bench gate rejected the warm batch"
 
 # --- Phase 4: shutdown op --------------------------------------------------
