@@ -19,7 +19,8 @@
 // aborting). Numeric arguments are parsed strictly (garbage = usage
 // error). --fault
 // injects one artificial child failure (self-test of the isolation and
-// classification machinery); it requires isolation. --trace (or
+// classification machinery); it requires isolation, and --wall-ms then
+// bounds the injected pair alone. --trace (or
 // PSEQ_TRACE=<path>; the flag wins) writes a JSONL event per pair, flushed
 // after every crashed/limited child so the record survives a dying parent;
 // --trace-out writes a Chrome trace-event / Perfetto JSON with one span

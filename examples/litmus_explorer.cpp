@@ -35,8 +35,8 @@
 //                    either way
 //   --no-lint        disable the static race analyzer (and with it the
 //                    NAMsg-marker suppression on proved-race-free
-//                    programs); outcome sets are identical either way,
-//                    only the state counts change
+//                    programs and the promise-free rule); outcome sets are
+//                    identical either way, only the state counts change
 //   --sweep N        corpus mode only: explore the whole corpus N times
 //                    sharing one memo context and one telemetry registry
 //                    (litmus.sweeps counts them)
@@ -44,6 +44,7 @@
 //                    flag wins over the env var). It ends in a run.final
 //                    record holding every counter and gauge of the run —
 //                    states explored, memo hits/misses/pruned, the
+//                    promise-free skips (psna.promise_free_skips), the
 //                    litmus.lint.*, realworld.* and litmus.sym.* tallies —
 //                    which tools/check_bench_baseline.py gates against
 //                    BENCH_BASELINE.json.
@@ -368,6 +369,8 @@ int main(int Argc, char **Argv) {
   // is wall-clock, and the gate holds it only to an absurdly low
   // hang-detector floor.
   obs::Stats &C = Telem.Counters;
+  // A zero delta puts the key in run.final on a sweep that skips nothing.
+  C.add("psna.promise_free_skips", 0);
   if (Corpus == "realworld") {
     const auto T0 = std::chrono::steady_clock::now();
     std::printf("PS^na realworld outcomes (corpus of %zu cases)\n\n",

@@ -369,12 +369,13 @@ CampaignStats pseq::runFuzzCampaign(const CampaignOptions &Opts) {
         std::chrono::steady_clock::now();
     if (UseIsolation) {
       guard::IsolateLimits Limits;
-      Limits.WallMs = Opts.WallMs;
+      if (Opts.Fault == FaultKind::None || Fault != FaultKind::None)
+        Limits.WallMs = Opts.WallMs;
       // Soft guard budgets run inside the child; the rlimits back them up
       // with headroom so the guard normally wins and returns an honest
       // bounded verdict instead of a killed child.
-      if (Opts.WallMs)
-        Limits.CpuSeconds = Opts.WallMs / 1000 + 2;
+      if (Limits.WallMs)
+        Limits.CpuSeconds = Limits.WallMs / 1000 + 2;
       if (Opts.MemMb)
         Limits.MemBytes = (Opts.MemMb << 20) * 4 + (256u << 20);
       else if (Fault == FaultKind::Oom)

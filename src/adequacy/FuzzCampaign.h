@@ -53,7 +53,11 @@ struct CampaignOptions {
   unsigned Count = 100;    ///< pairs to generate and check
   uint64_t DeadlineMs = 0; ///< per-pair soft guard deadline (0 = off)
   uint64_t MemMb = 0;      ///< per-pair soft guard memory budget (0 = off)
-  uint64_t WallMs = 5000;  ///< per-pair hard wall timeout for isolated runs
+  /// Per-pair hard wall timeout for isolated runs. With a Fault injected
+  /// it bounds the injected pair alone: the others are bounded by their
+  /// step and state budgets, so a loaded host cannot push them into a
+  /// deadline and the self-test's tally stays deterministic.
+  uint64_t WallMs = 5000;
   uint64_t TotalMs = 0;    ///< whole-campaign wall budget (0 = off)
   bool Isolate = true;     ///< fork-isolate pairs when the host supports it
   bool ShrinkFailures = true; ///< delta-debug mismatches before reporting

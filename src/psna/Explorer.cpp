@@ -539,7 +539,8 @@ memo::Fp128 psExploreKey(const Program &P, const PsConfig &Cfg) {
   memo::fpMix(K, Cfg.Memo && Cfg.Memo->options().Prune ? 1 : 0);
   // Ditto for lint-driven marker skipping: behaviors are identical, but
   // StatesExplored and the race/marker tallies are not. The caller passes
-  // the *effective* config (SkipNaMarkers already resolved).
+  // the *effective* config (SkipNaMarkers and PromiseBudget already
+  // resolved), so a promise-free skip shares its budget-0 entry.
   memo::fpMix(K, Cfg.SkipNaMarkers ? 1 : 0);
   // Caller-provided partition (active pipeline / atlas configuration):
   // shared contexts must never serve a behavior set cached under a
@@ -548,32 +549,56 @@ memo::Fp128 psExploreKey(const Program &P, const PsConfig &Cfg) {
   return K;
 }
 
-/// Resolves the effective marker-skipping bit: runs the static analyzer
-/// (when enabled and not already forced) and reports its verdict.
-std::optional<analysis::RaceVerdict> resolveLint(const Program &P,
-                                                PsConfig &Cfg) {
-  if (!Cfg.Lint || Cfg.SkipNaMarkers)
-    return std::nullopt;
-  analysis::RaceReport Rep = analysis::analyzeRaces(P, Cfg.Telem);
-  Cfg.SkipNaMarkers = Rep.skipNaMarkers();
-  if (Cfg.Telem && Cfg.SkipNaMarkers)
-    Cfg.Telem->Counters.add("analysis.markers_skipped", 1);
-  return Rep.Verdict;
+/// True when some thread has a relaxed-mode store or an RMW of any mode:
+/// the only writes that can fulfil a promise at an atomic location
+/// (release writes never fulfil one; DESIGN.md note 3).
+bool hasRelaxedWriteOrRmw(const Program &P) {
+  for (unsigned Tid = 0, E = P.numThreads(); Tid != E; ++Tid)
+    for (const Instr &I : P.thread(Tid).Code)
+      if ((I.Op == Instr::Opcode::Store && I.WM == WriteMode::RLX) ||
+          I.Op == Instr::Opcode::Cas || I.Op == Instr::Opcode::Fadd)
+        return true;
+  return false;
 }
 
 } // namespace
 
+EffectivePsConfig pseq::effectivePsConfig(const Program &P,
+                                          const PsConfig &Cfg) {
+  EffectivePsConfig E{Cfg, std::nullopt};
+  if (!Cfg.Lint || Cfg.SkipNaMarkers)
+    return E;
+  analysis::RaceReport Rep = analysis::analyzeRaces(P, Cfg.Telem);
+  E.Lint = Rep.Verdict;
+  E.Cfg.SkipNaMarkers = Rep.skipNaMarkers();
+  if (Cfg.Telem && E.Cfg.SkipNaMarkers)
+    Cfg.Telem->Counters.add("analysis.markers_skipped", 1);
+  // The promise-free rule (DESIGN.md "Promise-free fast path"): with no
+  // relaxed write and no RMW only non-atomic writes can fulfil a promise,
+  // and in a race-free program no other thread reads one early.
+  if (Rep.Verdict != analysis::RaceVerdict::PotentiallyRacy &&
+      Cfg.PromiseBudget > 0 && !hasRelaxedWriteOrRmw(P)) {
+    E.Cfg.PromiseBudget = 0;
+    if (Cfg.Telem)
+      Cfg.Telem->Counters.add("psna.promise_free_skips", 1);
+  }
+  return E;
+}
+
 PsBehaviorSet pseq::explorePsna(const Program &P, const PsConfig &Cfg) {
-  // Lint first: the verdict decides the effective SkipNaMarkers knob, and
-  // the cross-run cache key must be computed from the effective config.
-  PsConfig ECfg = Cfg;
-  std::optional<analysis::RaceVerdict> Verdict = resolveLint(P, ECfg);
+  // Lint first: the verdict decides the effective SkipNaMarkers and
+  // PromiseBudget knobs, and the cross-run cache key must be computed from
+  // the effective config.
+  EffectivePsConfig Eff = effectivePsConfig(P, Cfg);
+  const PsConfig &ECfg = Eff.Cfg;
+  const std::optional<analysis::RaceVerdict> &Verdict = Eff.Lint;
 
   auto stamp = [&](PsBehaviorSet &R) {
-    // Lint/MarkersSkipped describe this call's configuration, not the
-    // exploration; restamp them even on cached results.
+    // Lint and the two Skipped bits describe this call's configuration,
+    // not the exploration; restamp them even on cached results.
     R.Lint = Verdict;
     R.MarkersSkipped = ECfg.SkipNaMarkers;
+    R.PromisesSkipped = ECfg.PromiseBudget != Cfg.PromiseBudget;
     if (Cfg.Telem && Verdict) {
       // Static-vs-dynamic agreement: a statically-safe program must never
       // show a dynamic race observation (the soundness direction); a racy
@@ -624,10 +649,9 @@ PsBehaviorSet pseq::explorePsna(const Program &P, const PsConfig &Cfg) {
 std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
                                                   const PsConfig &Cfg,
                                                   const std::string &Want) {
-  // Resolve marker skipping exactly like explorePsna so the witness search
-  // walks the same transition system as the reported behavior set.
-  PsConfig ECfg = Cfg;
-  resolveLint(P, ECfg);
+  // Resolve the lint-derived knobs exactly like explorePsna so the witness
+  // search walks the same transition system as the reported behavior set.
+  PsConfig ECfg = effectivePsConfig(P, Cfg).Cfg;
   PsMachine M(P, ECfg);
   // Single-threaded, so each step's verdicts go into the table at once.
   CertTable Certs;

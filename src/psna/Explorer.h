@@ -70,6 +70,9 @@ struct PsBehaviorSet {
   std::optional<analysis::RaceVerdict> Lint;
   /// True when NAMsg markers were suppressed (statically proved safe).
   bool MarkersSkipped = false;
+  /// True when the promise-free rule ran this exploration at promise
+  /// budget 0 (race-free, no relaxed write, no RMW).
+  bool PromisesSkipped = false;
 
   bool truncated() const { return Cause != TruncationCause::None; }
 
@@ -79,7 +82,23 @@ struct PsBehaviorSet {
   std::vector<std::string> strs() const;
 };
 
-/// Explores every behavior of \p P under \p Cfg.
+/// The configuration explorePsna and findPsnaWitness run for a requested
+/// one, and the lint verdict that decided it.
+struct EffectivePsConfig {
+  PsConfig Cfg;
+  /// The analyzer's verdict; nullopt when it did not run (Lint off, or
+  /// SkipNaMarkers already forced by the caller).
+  std::optional<analysis::RaceVerdict> Lint;
+};
+
+/// Runs the race lint (when \p Cfg enables it) and resolves the knobs its
+/// verdict decides: SkipNaMarkers when no race transition can fire, and
+/// PromiseBudget lowered to 0 when moreover no relaxed write or RMW exists
+/// (the promise-free rule; DESIGN.md "Promise-free fast path"). Counts
+/// each lowering as psna.promise_free_skips.
+EffectivePsConfig effectivePsConfig(const Program &P, const PsConfig &Cfg);
+
+/// Explores every behavior of \p P under effectivePsConfig(P, Cfg).
 PsBehaviorSet explorePsna(const Program &P, const PsConfig &Cfg);
 
 /// Searches for an execution exhibiting the behavior whose str() equals

@@ -77,9 +77,11 @@ struct PsConfig {
   bool Normalize = true;
   /// Run the static race analyzer (analysis/RaceLint.h) before exploring
   /// and skip valueless NAMsg race markers when the verdict proves no
-  /// race transition can fire. Behaviors are bit-identical either way
-  /// (DESIGN.md "Static race analysis"); only the state count shrinks.
-  /// --no-lint in the drivers.
+  /// race transition can fire; when moreover no relaxed write or RMW
+  /// exists, explore at PromiseBudget 0 (DESIGN.md "Promise-free fast
+  /// path"). Behaviors are bit-identical either way (DESIGN.md "Static
+  /// race analysis"); only the state count shrinks. --no-lint in the
+  /// drivers, which makes lint-off the full-enumeration oracle.
   bool Lint = true;
   /// Derived knob (set by the explorer from the analyzer's verdict; tests
   /// may force it): suppress valueless NAMsg marker promises.

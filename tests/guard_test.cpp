@@ -808,6 +808,9 @@ TEST(FuzzCampaignTest, SurvivesInjectedHang) {
   if (PSEQ_TEST_TSAN)
     GTEST_SKIP() << "fork-based tests are skipped under TSan";
 
+  // The 1,000 ms wall bounds the hang pair alone. The other two are
+  // bounded by their step and state budgets, so a slow or loaded host
+  // cannot push them into a deadline.
   CampaignOptions O;
   O.Seed = 7;
   O.Count = 3;

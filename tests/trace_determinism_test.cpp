@@ -198,12 +198,13 @@ TEST(TraceDeterminismTest, PsnaCertTableSavesSearches) {
             T2.Counters["psna.cert.table_hits"]);
   EXPECT_EQ(T1.Counters["psna.cert.table_hits"],
             T8.Counters["psna.cert.table_hits"]);
-  // Litmus-corpus totals at the corpus budgets. Every certification query
-  // is either a search or a table hit: 3,412 + 13,418 = 16,830, the number
-  // of searches a run without the table makes (177,925 nodes).
-  EXPECT_EQ(T1.Counters["psna.cert.searches"], 3412u);
-  EXPECT_EQ(T1.Counters["psna.cert.nodes"], 38511u);
-  EXPECT_EQ(T1.Counters["psna.cert.table_hits"], 13418u);
+  // Litmus-corpus totals at the corpus budgets. The promise-free rule runs
+  // one case, lb-rel, without promises. Every certification query is
+  // either a search or a table hit: 3,280 + 13,274 = 16,554.
+  EXPECT_EQ(T1.Counters["psna.promise_free_skips"], 1u);
+  EXPECT_EQ(T1.Counters["psna.cert.searches"], 3280u);
+  EXPECT_EQ(T1.Counters["psna.cert.nodes"], 36859u);
+  EXPECT_EQ(T1.Counters["psna.cert.table_hits"], 13274u);
 }
 
 TEST(TraceDeterminismTest, SeqCorpusTelemetryThreadInvariant) {
