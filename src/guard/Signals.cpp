@@ -9,6 +9,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define PSEQ_HAVE_SIGACTION 1
@@ -26,10 +29,14 @@ std::atomic<bool> Installed{false};
 
 // The token lives behind an atomic pointer so the test-only reset can swap
 // in a fresh one without racing the handler (CancellationToken is one-way:
-// cancel() cannot be undone). The replaced token is deliberately leaked —
-// the handler may still hold the old pointer for an instant, and the hook
-// runs a handful of times per test process at most.
+// cancel() cannot be undone). The handler may still hold a replaced token's
+// pointer for an instant, so the reset never frees one: it parks it in the
+// retired list, where it stays reachable (no leak report) until exit. The
+// handler never touches the list, so it stays lock-free.
 std::atomic<CancellationToken *> Token{nullptr};
+
+std::mutex RetiredMu;
+std::vector<std::unique_ptr<CancellationToken>> Retired;
 
 CancellationToken *tokenPtr() {
   CancellationToken *T = Token.load(std::memory_order_acquire);
@@ -88,7 +95,11 @@ CancellationToken &pseq::guard::shutdownToken() { return *tokenPtr(); }
 void pseq::guard::resetShutdownStateForTests() {
   Requested.store(false, std::memory_order_relaxed);
   Signal.store(0, std::memory_order_relaxed);
-  Token.store(new CancellationToken(), std::memory_order_release);
+  if (CancellationToken *Old =
+          Token.exchange(new CancellationToken(), std::memory_order_acq_rel)) {
+    std::lock_guard<std::mutex> Lock(RetiredMu);
+    Retired.emplace_back(Old);
+  }
 #ifdef PSEQ_HAVE_SIGACTION
   // Re-arm: the handler resets the disposition to SIG_DFL after firing.
   if (Installed.load(std::memory_order_acquire)) {

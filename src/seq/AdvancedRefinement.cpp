@@ -11,6 +11,7 @@
 #include "obs/Telemetry.h"
 #include "seq/InitSweep.h"
 #include "seq/OracleGame.h"
+#include "seq/SourceGraph.h"
 #include "support/Hashing.h"
 
 #include <cassert>
@@ -23,32 +24,34 @@ namespace {
 
 /// Decides whether one target behavior is matched per Fig. 2, for one
 /// initial state. Memoization is per-target-behavior (positions index the
-/// fixed target trace).
+/// fixed target trace); the source graph and the oracle game it consults
+/// are shared by every behavior of the initial state.
 class Matcher {
-  const SeqMachine &SrcM;
+  SourceGraph &G;
+  OracleGame &Game;
   const SeqBehavior &TB;
   LocSet Universe;
   unsigned NodeBudget;
   bool BudgetHit = false;
+  uint64_t Nodes = 0;
 
-  // Memo for match(): key is (position, commitment set, source state).
+  // Memo for match(): key is (position, commitment set, source state id).
   struct MatchKey {
     unsigned K;
     uint64_t R;
-    SeqState S;
+    unsigned Id;
     bool operator==(const MatchKey &O) const {
-      return K == O.K && R == O.R && S == O.S;
+      return K == O.K && R == O.R && Id == O.Id;
     }
   };
   struct MatchKeyHash {
     size_t operator()(const MatchKey &Key) const {
       uint64_t H = hashCombine(Key.K, Key.R);
-      return static_cast<size_t>(hashCombine(H, Key.S.hash()));
+      return static_cast<size_t>(hashCombine(H, Key.Id));
     }
   };
   enum : char { InProgress = 0, True = 1, False = 2 };
   std::unordered_map<MatchKey, char, MatchKeyHash> MatchMemo;
-  OracleGame Game;
 
   bool spendNode() {
     if (NodeBudget == 0) {
@@ -56,20 +59,25 @@ class Matcher {
       return false;
     }
     --NodeBudget;
+    ++Nodes;
     return true;
   }
 
 public:
-  Matcher(const SeqMachine &SrcM, const SeqBehavior &TB, LocSet Universe,
-          unsigned NodeBudget)
-      : SrcM(SrcM), TB(TB), Universe(Universe), NodeBudget(NodeBudget),
-        Game(SrcM, NodeBudget) {}
+  /// Re-arms \p Game with \p NodeBudget nodes: the game gets the same
+  /// budget per behavior that the matcher does.
+  Matcher(SourceGraph &G, OracleGame &Game, const SeqBehavior &TB,
+          LocSet Universe, unsigned NodeBudget)
+      : G(G), Game(Game), TB(TB), Universe(Universe), NodeBudget(NodeBudget) {
+    Game.rearm(NodeBudget);
+  }
 
   bool budgetHit() const { return BudgetHit || Game.budgetHit(); }
 
-  bool run(const SeqState &SrcInit) {
-    return match(0, LocSet::empty(), SrcInit);
-  }
+  /// Matcher nodes expanded within budget.
+  uint64_t nodes() const { return Nodes; }
+
+  bool run(unsigned SrcInit) { return match(0, LocSet::empty(), SrcInit); }
 
 private:
   //===--------------------------------------------------------------------===
@@ -77,20 +85,21 @@ private:
   // terminal rules beh-terminal / beh-partial / beh-failure).
   //===--------------------------------------------------------------------===
 
-  bool match(unsigned K, LocSet R, const SeqState &S) {
-    MatchKey Key{K, R.raw(), S};
+  bool match(unsigned K, LocSet R, unsigned Id) {
+    MatchKey Key{K, R.raw(), Id};
     auto [It, Inserted] = MatchMemo.try_emplace(Key, InProgress);
     if (!Inserted)
       return It->second == True; // cycles contribute nothing new
-    bool Result = matchUncached(K, R, S);
+    bool Result = matchUncached(K, R, Id);
     MatchMemo[Key] = Result ? True : False;
     return Result;
   }
 
-  bool matchUncached(unsigned K, LocSet R, const SeqState &S) {
+  bool matchUncached(unsigned K, LocSet R, unsigned Id) {
     if (!spendNode())
       return false;
 
+    const SeqState &S = G.state(Id);
     // Source already at ⊥: beh-failure with an empty remaining source
     // trace (no acquire, no oracle constraints).
     if (S.isBottom())
@@ -116,18 +125,18 @@ private:
     // source may extend (acquire-free, oracle-robust) to fulfill
     // outstanding commitments.
     if (AtEnd && TB.Kind == SeqBehavior::End::Partial &&
-        Game.robustFulfill(S, TB.F.unionWith(R)))
+        Game.robustFulfill(Id, TB.F.unionWith(R)))
       return true;
 
     // beh-failure at any point: oracle-robust acquire-free run to ⊥.
-    if (Game.robustBottom(S))
+    if (Game.robustBottom(Id))
       return true;
 
     // Otherwise advance the source by one transition.
-    for (const SeqTransition &T : SrcM.successors(S)) {
-      if (T.Labels.empty()) {
+    for (const SourceGraph::Edge &E : G.edges(Id)) {
+      if (E.Labels.empty()) {
         // Unlabeled (silent or non-atomic) source step.
-        if (match(K, R, T.Next))
+        if (match(K, R, E.Next))
           return true;
         continue;
       }
@@ -137,7 +146,7 @@ private:
       unsigned Pos = K;
       LocSet CurR = R;
       bool Ok = true;
-      for (const SeqEvent &SrcE : T.Labels) {
+      for (const SeqEvent &SrcE : E.Labels) {
         if (Pos >= TB.Trace.size()) {
           Ok = false;
           break;
@@ -148,12 +157,11 @@ private:
         }
         ++Pos;
       }
-      if (Ok && match(Pos, CurR, T.Next))
+      if (Ok && match(Pos, CurR, E.Next))
         return true;
     }
     return false;
   }
-
 };
 
 } // namespace
@@ -181,8 +189,9 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
          "initial-state spaces must coincide");
   Result.InitialStates = static_cast<unsigned>(SrcInits.size());
 
-  // Node budget per behavior match; generous relative to the behavior
-  // enumeration budget (the matcher explores a product space).
+  // Node budget per behavior match, re-armed for the shared oracle game
+  // too; generous relative to the behavior enumeration budget (the matcher
+  // explores a product space).
   const unsigned NodeBudget = Cfg.StepBudget * 4096;
 
   detail::sweepInits(
@@ -193,6 +202,13 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
         R.Bounded = Tgt.truncated();
         R.Cause = Tgt.Cause;
         R.TgtBehaviors = Tgt.All.size();
+        // One source graph and one oracle game serve every target behavior
+        // of this initial state (DESIGN.md "⊑w matcher: one source graph
+        // per initial state").
+        SourceGraph Graph(SM);
+        OracleGame Game(Graph, NodeBudget);
+        const unsigned SrcInit = Graph.intern(SrcInits[Idx]);
+        uint64_t Behaviors = 0, MatchNodes = 0;
         for (const SeqBehavior &TB : Tgt.All) {
           // Matching dominates a loop program's check, so the guard is
           // polled once per target behavior, not just per initial state.
@@ -200,10 +216,12 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
               G && G->checkpoint() != TruncationCause::None) {
             R.Bounded = true;
             noteTruncation(R.Cause, G->cause());
-            return;
+            break;
           }
-          Matcher M(SM, TB, Cfg.Universe, NodeBudget);
-          bool Matched = M.run(SrcInits[Idx]);
+          Matcher M(Graph, Game, TB, Cfg.Universe, NodeBudget);
+          bool Matched = M.run(SrcInit);
+          ++Behaviors;
+          MatchNodes += M.nodes();
           if (M.budgetHit()) {
             R.Bounded = true;
             noteTruncation(R.Cause, TruncationCause::StateBudget);
@@ -218,7 +236,15 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
           R.Counterexample = "initial " + TgtInits[Idx].str(&Names) +
                              " target behavior " + TB.str(&Names) +
                              " unmatched by source (advanced)";
-          return;
+          break;
+        }
+        if (obs::Telemetry *T = SM.config().Telem) {
+          obs::ScopedTally Tally(&T->Counters);
+          Tally.slot("seq.match.behaviors") += Behaviors;
+          Tally.slot("seq.match.nodes") += MatchNodes;
+          Tally.slot("seq.game.nodes") += Game.nodes();
+          Tally.slot("seq.game.memo_hits") += Game.memoHits();
+          Tally.slot("seq.source.states") += Graph.size();
         }
       });
   observeRefinementCheck(Telem, "seq.check.advanced", Result,

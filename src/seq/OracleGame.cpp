@@ -12,7 +12,7 @@
 using namespace pseq;
 
 size_t OracleGame::KeyHash::operator()(const Key &K) const {
-  return static_cast<size_t>(hashCombine(K.Remaining, K.S.hash()));
+  return static_cast<size_t>(hashCombine(K.Remaining, K.Id));
 }
 
 bool OracleGame::spendNode() {
@@ -21,26 +21,35 @@ bool OracleGame::spendNode() {
     return false;
   }
   --NodeBudget;
+  ++Nodes;
   return true;
 }
 
-bool OracleGame::run(uint64_t Remaining, LocSet Collected,
-                     const SeqState &S) {
+bool OracleGame::run(uint64_t Remaining, LocSet Collected, unsigned Id) {
   uint64_t Rem = Remaining == BottomGoal ? BottomGoal
                                          : (Remaining & ~Collected.raw());
-  Key K{Rem, S};
+  Key K{Rem, Id};
   auto [It, Inserted] = Memo.try_emplace(K, InProgress);
-  if (!Inserted)
+  if (!Inserted) {
+    if (It->second != InProgress)
+      ++MemoHits;
     return It->second == True; // cycles never achieve the goal
-  bool Result = runUncached(Rem, S);
-  Memo[K] = Result ? True : False;
+  }
+  bool Result = runUncached(Rem, Id);
+  if (Result)
+    Memo[K] = True;
+  else if (BudgetHit)
+    Memo.erase(K); // may be the budget's false, not the game's
+  else
+    Memo[K] = False;
   return Result;
 }
 
-bool OracleGame::runUncached(uint64_t Remaining, const SeqState &S) {
+bool OracleGame::runUncached(uint64_t Remaining, unsigned Id) {
   if (!spendNode())
     return false;
 
+  const SeqState &S = G.state(Id);
   // ⊥ discharges every goal (the behavior ends with beh-failure).
   if (S.isBottom())
     return true;
@@ -53,7 +62,7 @@ bool OracleGame::runUncached(uint64_t Remaining, const SeqState &S) {
   if (S.isTerminated())
     return false; // trm does not witness prt; the ⊥ goal is unreachable
 
-  ProgState::Pending Pend = SrcM.pending(S);
+  ProgState::Pending Pend = G.machine().pending(S);
 
   // Acquire operations are forbidden in unmatched suffixes.
   if ((Pend.K == ProgState::Pending::Kind::Read &&
@@ -64,15 +73,15 @@ bool OracleGame::runUncached(uint64_t Remaining, const SeqState &S) {
     return false;
 
   // Every adversary branch must succeed.
-  std::vector<SeqTransition> Succs = SrcM.successors(S);
-  if (Succs.empty())
+  const std::vector<SourceGraph::Edge> &Edges = G.edges(Id);
+  if (Edges.empty())
     return false;
-  for (const SeqTransition &T : Succs) {
+  for (const SourceGraph::Edge &E : Edges) {
     LocSet Collected;
-    for (const SeqEvent &E : T.Labels)
-      if (E.isRelease())
-        Collected = Collected.unionWith(E.F);
-    if (!run(Remaining, Collected, T.Next))
+    for (const SeqEvent &L : E.Labels)
+      if (L.isRelease())
+        Collected = Collected.unionWith(L.F);
+    if (!run(Remaining, Collected, E.Next))
       return false;
   }
   return true;

@@ -29,6 +29,7 @@ class SimChecker {
   unsigned MaxNodes;
   bool Exhausted = false;
   guard::ResourceGuard *Guard;
+  SourceGraph GameGraph; ///< the source states the oracle game has visited
   OracleGame Game;
 
   //===--------------------------------------------------------------------===
@@ -170,9 +171,10 @@ class SimChecker {
     Ids.emplace(Key, Id);
     Nodes.push_back(Node());
 
+    const unsigned SrcId = GameGraph.intern(Src);
     // Unconditional saves: source already ⊥ in the closure is subsumed by
     // the late-UB game (which also explores unlabeled steps).
-    if (Game.robustBottom(Src)) {
+    if (Game.robustBottom(SrcId)) {
       Nodes[Id].Saved = true;
       return Id;
     }
@@ -191,7 +193,7 @@ class SimChecker {
 
     // Running target: the prt-condition must hold here (Fig. 6's last
     // conjunct — every point of the target generates a partial behavior).
-    if (!Game.robustFulfill(Src, Tgt.Written.unionWith(R))) {
+    if (!Game.robustFulfill(SrcId, Tgt.Written.unionWith(R))) {
       Nodes[Id].Alive = false;
       return Dead;
     }
@@ -255,7 +257,8 @@ public:
   SimChecker(const SeqMachine &SrcM, const SeqMachine &TgtM, LocSet Universe,
              unsigned MaxNodes, unsigned GameBudget)
       : SrcM(SrcM), TgtM(TgtM), Universe(Universe), MaxNodes(MaxNodes),
-        Guard(SrcM.config().Guard), Game(SrcM, GameBudget) {}
+        Guard(SrcM.config().Guard), GameGraph(SrcM),
+        Game(GameGraph, GameBudget) {}
 
   bool run(const SeqState &SrcInit, const SeqState &TgtInit) {
     unsigned Root = build(SrcInit, TgtInit, LocSet::empty());

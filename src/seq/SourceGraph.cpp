@@ -1,0 +1,45 @@
+//===- seq/SourceGraph.cpp - Interned source transition graph -------------===//
+//
+// Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
+// Compilers under Weak Memory Concurrency" (PLDI 2022).
+//
+//===----------------------------------------------------------------------===//
+
+#include "seq/SourceGraph.h"
+
+#include "guard/Guard.h"
+
+using namespace pseq;
+
+unsigned SourceGraph::intern(const SeqState &S) {
+  auto [It, Inserted] = FirstByHash.try_emplace(S.hash(), size());
+  if (!Inserted) {
+    unsigned Id = It->second;
+    for (;;) {
+      if (Nodes[Id].S == S)
+        return Id;
+      if (Nodes[Id].NextSameHash == NoId)
+        break;
+      Id = Nodes[Id].NextSameHash;
+    }
+    Nodes[Id].NextSameHash = size();
+  }
+  if (guard::ResourceGuard *G = M.config().Guard)
+    G->charge(sizeof(Node) + sizeof(uint64_t) +
+              (S.Mem.size() + S.Prog.regs().size()) * sizeof(Value));
+  Nodes.push_back(Node{S, {}, false, NoId});
+  return size() - 1;
+}
+
+const std::vector<SourceGraph::Edge> &SourceGraph::edges(unsigned Id) {
+  if (Nodes[Id].Expanded)
+    return Nodes[Id].Edges;
+  std::vector<Edge> Out;
+  for (SeqTransition &T : M.successors(Nodes[Id].S)) {
+    unsigned Next = intern(T.Next);
+    Out.push_back(Edge{std::move(T.Labels), Next});
+  }
+  Nodes[Id].Edges = std::move(Out);
+  Nodes[Id].Expanded = true;
+  return Nodes[Id].Edges;
+}

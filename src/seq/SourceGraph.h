@@ -1,0 +1,79 @@
+//===- seq/SourceGraph.h - Interned source transition graph -----*- C++ -*-===//
+//
+// Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
+// Compilers under Weak Memory Concurrency" (PLDI 2022).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The source side of a SEQ refinement check, expanded at most once. Two
+/// source-side facts do not depend on the target behavior being matched:
+/// the SEQ transitions of a source state, and whether the ∀-oracle game is
+/// won from it. A SourceGraph interns every reached source SeqState to a
+/// dense id and stores each state's transitions (labels plus successor id,
+/// in SeqMachine::successors() order) the first time they are asked for,
+/// so the ⊑w matcher and the oracle game memoize on small integer ids and
+/// every target behavior of an initial state reuses the same expansion.
+///
+/// A graph is scoped to one initial state of one check (see DESIGN.md
+/// "⊑w matcher: one source graph per initial state"): its contents, and
+/// so every result derived from it, never depend on which worker or in
+/// which order other initial states ran.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef PSEQ_SEQ_SOURCEGRAPH_H
+#define PSEQ_SEQ_SOURCEGRAPH_H
+
+#include "seq/SeqMachine.h"
+
+#include <deque>
+#include <unordered_map>
+
+namespace pseq {
+
+/// Reached source states of one machine, each expanded at most once.
+class SourceGraph {
+public:
+  /// One SEQ transition with its successor interned.
+  struct Edge {
+    std::vector<SeqEvent> Labels;
+    unsigned Next;
+  };
+
+  explicit SourceGraph(const SeqMachine &M) : M(M) {}
+
+  /// \returns the id of \p S, interning it on first sight. New states are
+  /// charged to the machine's resource guard, if any.
+  unsigned intern(const SeqState &S);
+
+  const SeqState &state(unsigned Id) const { return Nodes[Id].S; }
+
+  /// The transitions of state \p Id, in SeqMachine::successors() order;
+  /// the machine is asked once per state. The reference stays valid for
+  /// the graph's lifetime.
+  const std::vector<Edge> &edges(unsigned Id);
+
+  const SeqMachine &machine() const { return M; }
+
+  /// Interned states so far.
+  unsigned size() const { return static_cast<unsigned>(Nodes.size()); }
+
+private:
+  static constexpr unsigned NoId = ~0u;
+
+  struct Node {
+    SeqState S;
+    std::vector<Edge> Edges;
+    bool Expanded = false;
+    unsigned NextSameHash = NoId; ///< chain of ids sharing S.hash()
+  };
+
+  const SeqMachine &M;
+  std::deque<Node> Nodes; ///< a deque: growth never moves a node
+  std::unordered_map<uint64_t, unsigned> FirstByHash;
+};
+
+} // namespace pseq
+
+#endif // PSEQ_SEQ_SOURCEGRAPH_H

@@ -27,6 +27,7 @@
 #include "obs/Telemetry.h"
 #include "opt/Validator.h"
 #include "psna/Explorer.h"
+#include "seq/AdvancedRefinement.h"
 #include "seq/BehaviorEnum.h"
 
 #include "gtest/gtest.h"
@@ -163,6 +164,37 @@ CorpusTelemetry enumerateSeqCorpus(unsigned NumThreads) {
   return Out;
 }
 
+/// Telemetry of the ⊑w check of every corpus pair it accepts. A failing
+/// check stops at its first failing initial state, and at several workers
+/// states past it may already be running, so only accepted pairs have a
+/// fixed amount of work.
+CorpusTelemetry advancedCheckCorpus(unsigned NumThreads) {
+  obs::Telemetry Telem;
+  obs::SpanRecorder Spans;
+  Telem.Spans = &Spans;
+  for (const auto *Corpus : {&refinementCorpus(), &extensionCorpus()})
+    for (const RefinementCase &RC : *Corpus) {
+      if (!RC.AdvancedHolds)
+        continue;
+      std::unique_ptr<Program> Src = parseOrDie(RC.Src);
+      std::unique_ptr<Program> Tgt = parseOrDie(RC.Tgt);
+      SeqConfig Cfg;
+      Cfg.Domain = RC.Domain;
+      Cfg.StepBudget = RC.StepBudget;
+      Cfg.NumThreads = NumThreads;
+      Cfg.Telem = &Telem;
+      EXPECT_TRUE(checkAdvancedRefinement(*Src, *Tgt, Cfg).Holds) << RC.Name;
+    }
+
+  CorpusTelemetry Out;
+  Out.Counters = Telem.Counters.counters();
+  for (const auto &[Name, H] : Telem.Counters.histograms())
+    if (!obs::isTimingHistKey(Name))
+      Out.Hists[Name] = histFingerprint(H);
+  Out.SpanNames = spanNames(Spans);
+  return Out;
+}
+
 void expectSameTelemetry(const CorpusTelemetry &A, const CorpusTelemetry &B,
                          const char *What) {
   EXPECT_EQ(A.Counters, B.Counters) << What << ": counters diverged";
@@ -216,6 +248,24 @@ TEST(TraceDeterminismTest, SeqCorpusTelemetryThreadInvariant) {
   EXPECT_GT(T2.SpanNames.count("seq.enum"), 0u);
   expectSameTelemetry(T1, T2, "seq 1 vs 2");
   expectSameTelemetry(T1, T8, "seq 1 vs 8");
+}
+
+TEST(TraceDeterminismTest, AdvancedMatcherCountersThreadInvariant) {
+  // The ⊑w matcher's work counts come from one source graph and one oracle
+  // game per initial state, so they cannot depend on which worker ran
+  // which state.
+  CorpusTelemetry T1 = advancedCheckCorpus(1);
+  CorpusTelemetry T2 = advancedCheckCorpus(2);
+  CorpusTelemetry T8 = advancedCheckCorpus(8);
+  for (const char *Key :
+       {"seq.match.behaviors", "seq.match.nodes", "seq.game.nodes",
+        "seq.game.memo_hits", "seq.source.states"}) {
+    EXPECT_GT(T1.Counters[Key], 0u) << Key;
+    EXPECT_EQ(T1.Counters[Key], T2.Counters[Key]) << Key << " at 2 workers";
+    EXPECT_EQ(T1.Counters[Key], T8.Counters[Key]) << Key << " at 8 workers";
+  }
+  expectSameTelemetry(T1, T2, "advanced 1 vs 2");
+  expectSameTelemetry(T1, T8, "advanced 1 vs 8");
 }
 
 TEST(TraceDeterminismTest, ValidatorSpansThreadInvariant) {
