@@ -11,7 +11,8 @@
 //   optimizer_pipeline [--method NAME] [file]
 //
 // --method selects the per-pass validation procedure (simple | advanced |
-// simulation | symbolic); a typo lists the available methods and exits 2.
+// simulation | symbolic; default: the pipeline's, the Fig. 6 simulation);
+// a typo lists the available methods and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +29,7 @@ using namespace pseq;
 
 namespace {
 
-ValidationMethod Method = ValidationMethod::Advanced;
+ValidationMethod Method = PipelineOptions().Method;
 
 void runOn(const std::string &Title, const std::string &Text,
            ValueDomain Domain, unsigned StepBudget) {

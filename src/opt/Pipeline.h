@@ -39,9 +39,12 @@ class MemoContext;
 /// Pipeline configuration.
 struct PipelineOptions {
   bool Validate = true; ///< run the SEQ checker after every pass
-  /// ⊑w is needed for DSE across release writes; Simulation additionally
-  /// closes loops exactly (use it when LICM fires on loop-heavy code).
-  ValidationMethod Method = ValidationMethod::Advanced;
+  /// The Fig. 6 simulation, the device the paper's optimizer certifies its
+  /// passes with: it entails ⊑w (so DSE across release writes validates)
+  /// and closes loops exactly. Other values are experiment overrides; the
+  /// trace checkers ⊑ and ⊑w stay as the paper's definitions and as test
+  /// oracles.
+  ValidationMethod Method = ValidationMethod::Simulation;
   SeqConfig Cfg; ///< checker bounds (universe auto-resolved)
   /// Run the extension constant-propagation pass before the paper's four
   /// (it feeds SLF constant stores and folds decided branches).

@@ -29,9 +29,11 @@ namespace pseq {
 
 /// Which decision procedure certifies a pass.
 enum class ValidationMethod {
-  Simple,     ///< trace-based ⊑ (Def 2.4)
-  Advanced,   ///< trace-based ⊑w (Def 3.3) — the default
-  Simulation, ///< Fig. 6 coinductive simulation — exact on loops
+  Simple,   ///< trace-based ⊑ (Def 2.4)
+  Advanced, ///< trace-based ⊑w (Def 3.3) — validateTransform's default
+  /// Fig. 6 coinductive simulation — exact on loops; the pipeline's
+  /// default (PipelineOptions::Method)
+  Simulation,
   /// Symbolic ⊑w via path-merging abstract interpretation (src/sym):
   /// decides spin-loop threads the enumerative procedures truncate on.
   /// Sound verdicts are exhaustive; negatives are confirmed by the

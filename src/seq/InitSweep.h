@@ -6,13 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal driver shared by the Def 2.4 and Fig. 2 refinement checkers:
-/// both quantify over the same initial-state space (P × F × M products) and
-/// fold one self-contained record per initial state into a
-/// RefinementResult, stopping at the first failing state. The driver fans
-/// the per-state checks out across the thread pool; records always fold in
-/// index order, so the result (verdict, counterexample, truncation cause,
-/// behavior tallies) is identical for every worker count.
+/// Internal driver shared by the Def 2.4 and Fig. 2 refinement checkers and
+/// the Fig. 6 simulation: all three quantify over the same initial-state
+/// space (P × F × M products) and fold one self-contained record per
+/// initial state into their result, stopping at the first failing state.
+/// The driver fans the per-state checks out across the thread pool; records
+/// always fold in index order, so the result (verdict, counterexample,
+/// truncation cause, behavior and product-node tallies) is identical for
+/// every worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,18 +24,21 @@
 #include "guard/Guard.h"
 #include "obs/Telemetry.h"
 #include "seq/SimpleRefinement.h"
+#include "seq/Simulation.h"
 
 #include <vector>
 
 namespace pseq::detail {
 
-/// Everything one initial state contributes to a RefinementResult.
+/// Everything one initial state contributes to a RefinementResult or a
+/// SimulationResult.
 struct InitRecord {
   bool Failed = false;
   bool Bounded = false;
   TruncationCause Cause = TruncationCause::None;
   uint64_t SrcBehaviors = 0;
   uint64_t TgtBehaviors = 0;
+  uint64_t ProductNodes = 0; ///< simulation only
   std::string Counterexample;
 };
 
@@ -52,6 +56,18 @@ inline bool foldInitRecord(RefinementResult &Result, InitRecord &R) {
   return false;
 }
 
+/// The same fold for the simulation: a bounded record clears Complete.
+inline bool foldInitRecord(SimulationResult &Result, InitRecord &R) {
+  Result.Complete &= !R.Bounded;
+  noteTruncation(Result.Cause, R.Cause);
+  Result.ProductNodes += static_cast<unsigned>(R.ProductNodes);
+  if (!R.Failed)
+    return true;
+  Result.Holds = false;
+  Result.Counterexample = std::move(R.Counterexample);
+  return false;
+}
+
 /// Runs CheckInit(SrcM, TgtM, Idx, Record) for initial-state indices
 /// 0..NumInits and folds the records in index order, stopping at the first
 /// failed index. Indices are claimed dynamically by pool workers (inline
@@ -61,10 +77,9 @@ inline bool foldInitRecord(RefinementResult &Result, InitRecord &R) {
 /// reads past the smallest failed index, and no index at or below it is
 /// ever skipped, so the folded prefix — and, at one worker, the poll
 /// sequence — matches a plain loop that stops at the first failure.
-template <typename CheckFn>
+template <typename ResultT, typename CheckFn>
 void sweepInits(const SeqMachine &SrcM, const SeqMachine &TgtM,
-                size_t NumInits, RefinementResult &Result,
-                CheckFn CheckInit) {
+                size_t NumInits, ResultT &Result, CheckFn CheckInit) {
   const SeqConfig &Cfg = SrcM.config();
   // A multi-threaded config with a single initial state runs it inline and
   // parallelizes *inside* the per-state check (the enumerators fan out

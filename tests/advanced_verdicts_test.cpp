@@ -90,8 +90,9 @@ TEST(AdvancedVerdictsTest, GoldenAtOneAndEightWorkers) {
 
 TEST(SourceGraphTest, LoopPipelinesExpandEachSourceStateOnce) {
   // The valbench pipeline job's options for the two loop cases it runs at
-  // step budget 24. Rebuilding the source graph per target behavior makes
-  // 136,576 (ex1.3-licm) and 201,201 (ex2.7-partial-trace-variant) calls.
+  // step budget 24, validated by ⊑w. Rebuilding the source graph per target
+  // behavior makes 136,576 (ex1.3-licm) and 201,201
+  // (ex2.7-partial-trace-variant) calls.
   for (const char *Name : {"ex1.3-licm", "ex2.7-partial-trace-variant"}) {
     const RefinementCase *RC = nullptr;
     for (const RefinementCase &C : refinementCorpus())
@@ -102,6 +103,7 @@ TEST(SourceGraphTest, LoopPipelinesExpandEachSourceStateOnce) {
     obs::Telemetry Telem;
     PipelineOptions Opts;
     Opts.Validate = true;
+    Opts.Method = ValidationMethod::Advanced; // the ⊑w matcher, not the default
     Opts.Cfg.StepBudget = 24;
     Opts.EnableConstProp = true;
     Opts.NumThreads = 1;
