@@ -11,7 +11,7 @@
 
 using namespace pseq;
 
-unsigned SourceGraph::intern(const SeqState &S) {
+unsigned SourceGraph::intern(SeqState S) {
   auto [It, Inserted] = FirstByHash.try_emplace(S.hash(), size());
   if (!Inserted) {
     unsigned Id = It->second;
@@ -27,16 +27,18 @@ unsigned SourceGraph::intern(const SeqState &S) {
   if (guard::ResourceGuard *G = M.config().Guard)
     G->charge(sizeof(Node) + sizeof(uint64_t) +
               (S.Mem.size() + S.Prog.regs().size()) * sizeof(Value));
-  Nodes.push_back(Node{S, {}, false, NoId});
+  Nodes.push_back(Node{std::move(S), {}, false, NoId});
   return size() - 1;
 }
 
 const std::vector<SourceGraph::Edge> &SourceGraph::edges(unsigned Id) {
   if (Nodes[Id].Expanded)
     return Nodes[Id].Edges;
+  std::vector<SeqTransition> Succs = M.successors(Nodes[Id].S);
   std::vector<Edge> Out;
-  for (SeqTransition &T : M.successors(Nodes[Id].S)) {
-    unsigned Next = intern(T.Next);
+  Out.reserve(Succs.size());
+  for (SeqTransition &T : Succs) {
+    unsigned Next = intern(std::move(T.Next));
     Out.push_back(Edge{std::move(T.Labels), Next});
   }
   Nodes[Id].Edges = std::move(Out);

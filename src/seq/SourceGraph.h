@@ -14,11 +14,12 @@
 /// in SeqMachine::successors() order) the first time they are asked for,
 /// so the ⊑w matcher and the oracle game memoize on small integer ids and
 /// every target behavior of an initial state reuses the same expansion.
+/// The Fig. 6 simulation keeps one graph per machine, target included.
 ///
 /// A graph is scoped to one initial state of one check (see DESIGN.md
-/// "⊑w matcher: one source graph per initial state"): its contents, and
-/// so every result derived from it, never depend on which worker or in
-/// which order other initial states ran.
+/// implementation notes 11 and 12): its contents, and so every result
+/// derived from it, never depend on which worker or in which order other
+/// initial states ran.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,9 +44,10 @@ public:
 
   explicit SourceGraph(const SeqMachine &M) : M(M) {}
 
-  /// \returns the id of \p S, interning it on first sight. New states are
-  /// charged to the machine's resource guard, if any.
-  unsigned intern(const SeqState &S);
+  /// \returns the id of \p S, interning it on first sight (moved in, so a
+  /// successor state is never copied). New states are charged to the
+  /// machine's resource guard, if any.
+  unsigned intern(SeqState S);
 
   const SeqState &state(unsigned Id) const { return Nodes[Id].S; }
 
