@@ -25,7 +25,9 @@
 ///     closure + label-matched steps, with Fig. 2's commitment updates).
 ///
 /// The relation this computes entails ⊑w, hence (Thm 6.2) contextual
-/// refinement in PS^na.
+/// refinement in PS^na. It is the optimizer pipeline's default validation
+/// method. Both machines are expanded through interned graphs, once per
+/// state per initial state (DESIGN.md implementation note 12).
 ///
 //===----------------------------------------------------------------------===//
 
