@@ -734,7 +734,16 @@ CertVerdict PsMachine::searchCertification(const PsMachineState &S,
         Stack.push_back(&*It);
     }
   }
-  return {/*Ok=*/false, /*BudgetHit=*/false};
+  // Exhausted within budget: every successor of a visited state was
+  // visited and none fulfilled the promises. A search rooted at any
+  // visited state explores a subset of Visited, so it fails the same way
+  // without running out of budget; each one's verdict is known exactly.
+  // (States on a successful path get no entry: a search from one of them
+  // may run out of budget before it finds the success.)
+  constexpr CertVerdict Fails{/*Ok=*/false, /*BudgetHit=*/false};
+  for (const PsMachineState &X : Visited)
+    Pending.emplace(certKey(X, Tid), Fails);
+  return Fails;
 }
 
 std::vector<PsMachineState>

@@ -33,7 +33,10 @@
 ///    views and the outputs zeroed), so its verdict is a function of
 ///    ⟨π, T_π, M⟩. An exploration keeps one CertTable of those verdicts:
 ///    each distinct key is searched once, and a table hit answers exactly
-///    as the search would have (verdict and budget hit alike).
+///    as the search would have (verdict and budget hit alike). A search
+///    that fails without running out of budget also enters every state it
+///    visited as failing: a search from any of them explores a subset of
+///    the same states (DESIGN.md "Failed certification searches").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -284,7 +287,8 @@ private:
   bool isRacy(const PsMachineState &S, unsigned Tid, unsigned Loc,
               bool AtomicAccess) const;
 
-  /// The bounded DFS behind certifiable(), run from the projection.
+  /// The bounded DFS behind certifiable(), run from the projection. An
+  /// exhausted search queues a failing verdict for every state it visited.
   CertVerdict searchCertification(const PsMachineState &S,
                                   unsigned Tid) const;
 };

@@ -9,59 +9,103 @@
 
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pseq;
 
-View View::zero(unsigned NumLocs) {
-  View V;
-  V.T.assign(NumLocs, Rational(0));
-  return V;
+View::View(unsigned NumLocs) : N(NumLocs) {
+  if (N > InlineLocs)
+    Heap = std::make_unique<Rational[]>(N);
 }
 
+View::View(const View &O) : View(O.N) {
+  std::copy_n(O.data(), N, data());
+}
+
+View::View(View &&O) noexcept : N(O.N), Heap(std::move(O.Heap)) {
+  if (!Heap)
+    std::copy_n(O.Inline, N, Inline);
+  O.N = 0;
+}
+
+View &View::operator=(const View &O) {
+  if (this == &O)
+    return *this;
+  if (O.N <= InlineLocs)
+    Heap.reset();
+  else if (N != O.N || !Heap)
+    Heap = std::make_unique<Rational[]>(O.N);
+  N = O.N;
+  std::copy_n(O.data(), N, data());
+  return *this;
+}
+
+View &View::operator=(View &&O) noexcept {
+  if (this == &O)
+    return *this;
+  N = O.N;
+  Heap = std::move(O.Heap);
+  if (!Heap)
+    std::copy_n(O.Inline, N, Inline);
+  O.N = 0;
+  return *this;
+}
+
+View View::zero(unsigned NumLocs) { return View(NumLocs); }
+
 View View::single(unsigned NumLocs, unsigned Loc, Rational Time) {
-  View V = zero(NumLocs);
+  View V(NumLocs);
   V.set(Loc, Time);
   return V;
 }
 
 Rational View::get(unsigned Loc) const {
-  assert(Loc < T.size() && "location out of view range");
-  return T[Loc];
+  assert(Loc < N && "location out of view range");
+  return data()[Loc];
 }
 
 void View::set(unsigned Loc, Rational Time) {
-  assert(Loc < T.size() && "location out of view range");
-  T[Loc] = Time;
+  assert(Loc < N && "location out of view range");
+  data()[Loc] = Time;
 }
 
 View View::joined(const View &O) const {
-  assert(T.size() == O.T.size() && "joining views of different widths");
+  assert(N == O.N && "joining views of different widths");
   View Out = *this;
-  for (size_t I = 0, E = T.size(); I != E; ++I)
-    if (Out.T[I] < O.T[I])
-      Out.T[I] = O.T[I];
+  Rational *T = Out.data();
+  const Rational *OT = O.data();
+  for (unsigned I = 0; I != N; ++I)
+    if (T[I] < OT[I])
+      T[I] = OT[I];
   return Out;
 }
 
 bool View::leq(const View &O) const {
-  assert(T.size() == O.T.size() && "comparing views of different widths");
-  for (size_t I = 0, E = T.size(); I != E; ++I)
-    if (O.T[I] < T[I])
+  assert(N == O.N && "comparing views of different widths");
+  const Rational *T = data(), *OT = O.data();
+  for (unsigned I = 0; I != N; ++I)
+    if (OT[I] < T[I])
       return false;
   return true;
 }
 
+bool View::operator==(const View &O) const {
+  return N == O.N && std::equal(data(), data() + N, O.data());
+}
+
 uint64_t View::hash() const {
-  uint64_t H = T.size();
-  for (const Rational &R : T)
-    H = hashCombine(H, R.hash());
+  uint64_t H = N;
+  const Rational *T = data();
+  for (unsigned I = 0; I != N; ++I)
+    H = hashCombine(H, T[I].hash());
   return H;
 }
 
 std::string View::str() const {
   std::string Out = "[";
-  for (size_t I = 0, E = T.size(); I != E; ++I) {
+  const Rational *T = data();
+  for (unsigned I = 0; I != N; ++I) {
     if (I)
       Out += ",";
     Out += T[I].str();

@@ -19,19 +19,34 @@
 
 #include "support/Rational.h"
 
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace pseq {
 
 /// A total view Loc → Time (the ⊥ view is modeled by std::optional at use
 /// sites; non-⊥ views default every location to timestamp 0).
+///
+/// Every thread and every atomic message carries a view, so the
+/// timestamps of a view over at most InlineLocs locations live inline
+/// rather than in a heap block of their own; wider views use the heap.
 class View {
-  std::vector<Rational> T;
+  static constexpr unsigned InlineLocs = 4;
+  unsigned N = 0;
+  Rational Inline[InlineLocs];
+  std::unique_ptr<Rational[]> Heap; ///< set iff N > InlineLocs
+
+  explicit View(unsigned NumLocs);
+  Rational *data() { return Heap ? Heap.get() : Inline; }
+  const Rational *data() const { return Heap ? Heap.get() : Inline; }
 
 public:
   View() = default;
+  View(const View &O);
+  View(View &&O) noexcept;
+  View &operator=(const View &O);
+  View &operator=(View &&O) noexcept;
 
   /// The initial view: timestamp 0 everywhere.
   static View zero(unsigned NumLocs);
@@ -39,7 +54,7 @@ public:
   /// The view [x ↦ t]: zero everywhere except \p Loc.
   static View single(unsigned NumLocs, unsigned Loc, Rational Time);
 
-  unsigned numLocs() const { return static_cast<unsigned>(T.size()); }
+  unsigned numLocs() const { return N; }
   Rational get(unsigned Loc) const;
   void set(unsigned Loc, Rational Time);
 
@@ -49,7 +64,7 @@ public:
   /// Pointwise ≤.
   bool leq(const View &O) const;
 
-  bool operator==(const View &O) const { return T == O.T; }
+  bool operator==(const View &O) const;
   bool operator!=(const View &O) const { return !(*this == O); }
   uint64_t hash() const;
   std::string str() const;

@@ -82,6 +82,37 @@ TEST(PsMemoryTest, AdjacentSlotAttachesAndBlocks) {
 // Machine behaviors on single-threaded programs
 //===----------------------------------------------------------------------===
 
+TEST(PsViewTest, InlineAndHeapViewsCopyMoveAndAssign) {
+  // Views up to four locations wide keep their timestamps inline, wider
+  // ones on the heap; copies must never share storage, whichever way they
+  // are made.
+  for (unsigned Locs : {1u, 4u, 5u, 9u}) {
+    View V = View::zero(Locs);
+    for (unsigned L = 0; L != Locs; ++L)
+      V.set(L, Rational(L + 1));
+    View C = V;
+    EXPECT_TRUE(C == V && C.hash() == V.hash()) << Locs;
+    C.set(0, Rational(7));
+    EXPECT_TRUE(V.get(0) == Rational(1)) << Locs;
+    View M = std::move(C);
+    EXPECT_EQ(M.numLocs(), Locs);
+    EXPECT_TRUE(M.get(0) == Rational(7)) << Locs;
+    for (unsigned Other : {2u, Locs, 9u}) {
+      View A = View::zero(Other);
+      A = V;
+      EXPECT_TRUE(A == V) << Locs << " <- " << Other;
+      A.set(Locs - 1, Rational(50));
+      EXPECT_TRUE(V.get(Locs - 1) == Rational(Locs)) << Locs;
+      A = View::zero(Other);
+      EXPECT_EQ(A.numLocs(), Other);
+      EXPECT_TRUE(A == View::zero(Other)) << Other;
+    }
+    View J = V.joined(View::single(Locs, Locs - 1, Rational(100)));
+    EXPECT_TRUE(J.get(Locs - 1) == Rational(100) && V.leq(J) && !J.leq(V))
+        << Locs;
+  }
+}
+
 TEST(PsMachineTest, SequentialExecutionIsDeterministic) {
   auto P = prog("na x;\nthread { x@na := 1; a := x@na; return a; }");
   PsBehaviorSet B = explorePsna(*P, cfg());
@@ -482,8 +513,11 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
   // filled must match a fresh search, verdict and budget hit alike. The
   // queries are the reachable states plus one-promise extensions of them
   // (so rejections occur), at the case's node budget and at a tiny one (so
-  // searches run out).
-  size_t Queries = 0, Hits = 0, Rejected = 0, BudgetHits = 0;
+  // searches run out). A search that fails within budget also answers for
+  // every state it visited, so some hits land on keys no search started
+  // from.
+  size_t Queries = 0, Hits = 0, VisitedHits = 0, Rejected = 0,
+         BudgetHits = 0;
   for (unsigned NodeBudget : {20000u, 6u}) {
     for (const LitmusCase &LC : litmusCorpus()) {
       if (LC.PromiseBudget == 0)
@@ -492,6 +526,8 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
       PsConfig Cfg = caseConfig(LC);
       Cfg.CertNodeBudget = NodeBudget;
       CertTable Table;
+      // Keys some search started from.
+      std::unordered_set<memo::Fp128, memo::Fp128Hash> Roots;
       for (const PsMachineState &S :
            reachableStates(*P, caseConfig(LC), /*Cap=*/150)) {
         if (S.Bottom)
@@ -507,7 +543,13 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
             bool Want = Fresh.certifiable(Q, Tid);
             PsMachine Tabled(*P, Cfg);
             Tabled.setCertTable(&Table);
-            Hits += Table.count(PsMachine::certKey(Q, Tid));
+            memo::Fp128 Key = PsMachine::certKey(Q, Tid);
+            if (Table.count(Key)) {
+              ++Hits;
+              VisitedHits += !Roots.count(Key);
+            } else {
+              Roots.insert(Key);
+            }
             EXPECT_EQ(Tabled.certifiable(Q, Tid), Want)
                 << LC.Name << " tid " << Tid << ": " << Q.str();
             EXPECT_EQ(Tabled.certBudgetHit(), Fresh.certBudgetHit())
@@ -525,6 +567,7 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
   // hits.
   EXPECT_GT(Queries, 1000u);
   EXPECT_GT(Hits, 100u);
+  EXPECT_GT(VisitedHits, 0u);
   EXPECT_GT(Rejected, 100u);
   EXPECT_GT(BudgetHits, 100u);
 }
