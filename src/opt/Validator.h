@@ -79,8 +79,9 @@ constexpr const char *validationMethodList() {
 /// the "sym" alias. Returns std::nullopt on anything else — including
 /// "psna" — so callers can print a usage line listing
 /// validationMethodList() and exit nonzero instead of silently
-/// defaulting or aborting. Shared by the example and bench binaries so a
-/// typo gets the same non-fatal diagnosis everywhere.
+/// defaulting or aborting. Shared by the example and bench binaries and
+/// the serve protocol's job decoder, so a typo gets the same non-fatal
+/// diagnosis everywhere.
 inline std::optional<ValidationMethod>
 parseValidationMethodMaybe(const std::string &Name) {
   if (Name == "simple")

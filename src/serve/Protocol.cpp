@@ -48,20 +48,6 @@ JobStatus statusFromName(const std::string &Name, bool &Ok) {
   return JobStatus::BadRequest;
 }
 
-ValidationMethod methodFromName(const std::string &Name, bool &Ok) {
-  Ok = true;
-  if (Name == "simple")
-    return ValidationMethod::Simple;
-  if (Name == "advanced")
-    return ValidationMethod::Advanced;
-  if (Name == "simulation")
-    return ValidationMethod::Simulation;
-  if (Name == "symbolic" || Name == "sym")
-    return ValidationMethod::Symbolic;
-  Ok = false; // Psna is pipeline-internal, not requestable per job
-  return ValidationMethod::Advanced;
-}
-
 void appendField(std::string &Out, const char *Key, const std::string &V) {
   Out += "\"";
   Out += Key;
@@ -252,13 +238,15 @@ Request pseq::serve::parseRequest(const std::string &Payload) {
     R.Job.Target = Tgt->asString();
   }
   if (const obs::JsonValue *M = V.field("method")) {
-    bool Ok = M->isString();
-    if (Ok)
-      R.Job.Method = methodFromName(M->asString(), Ok);
-    if (!Ok) {
+    // Psna is pipeline-internal, not requestable per job.
+    std::optional<ValidationMethod> Method;
+    if (M->isString())
+      Method = parseValidationMethodMaybe(M->asString());
+    if (!Method) {
       R.ParseErr = "unknown validation method";
       return R;
     }
+    R.Job.Method = *Method;
   }
   uint64_t Id = 0, Step = 0;
   if (!readUnsigned(V, "id", Id) || !readUnsigned(V, "step_budget", Step) ||

@@ -296,11 +296,26 @@ TEST(ProtocolTest, MalformedRequestsAreInvalidNotDefaulted) {
       "{\"op\":\"job\",\"id\":1}",         // job without source
       "{\"op\":\"job\",\"id\":1,\"source\":\"x\","
       "\"method\":\"psna\"}",              // non-requestable method
+      "{\"op\":\"job\",\"id\":1,\"source\":\"x\","
+      "\"method\":3}",                     // method not a string
   };
   for (const char *P : Bad) {
     serve::Request R = serve::parseRequest(P);
     EXPECT_EQ(R.Op, serve::RequestOp::Invalid) << "payload: " << P;
     EXPECT_FALSE(R.ParseErr.empty()) << "payload: " << P;
+  }
+}
+
+TEST(ProtocolTest, JobMethodsParseLikeTheMethodFlag) {
+  // A job names its method with the tokens a `--method` flag accepts.
+  for (const char *Name :
+       {"simple", "advanced", "simulation", "symbolic", "sym"}) {
+    serve::Request R = serve::parseRequest(
+        std::string("{\"op\":\"job\",\"id\":1,\"source\":\"x\","
+                    "\"method\":\"") +
+        Name + "\"}");
+    ASSERT_EQ(R.Op, serve::RequestOp::Job) << Name << ": " << R.ParseErr;
+    EXPECT_EQ(R.Job.Method, *parseValidationMethodMaybe(Name)) << Name;
   }
 }
 
