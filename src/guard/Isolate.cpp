@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <new>
@@ -20,9 +22,18 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
+#endif
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#include <sys/syscall.h>
+#endif
+
+#if defined(PSEQ_HAVE_FORK) && !defined(MSG_NOSIGNAL)
+#define MSG_NOSIGNAL 0 // no per-call flag (macOS): a dead peer raises SIGPIPE
 #endif
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -79,16 +90,29 @@ namespace {
 /// wire frame cap so a captured payload always fits in one reply.
 constexpr size_t CaptureCapBytes = 16u << 20;
 
+using Clock = std::chrono::steady_clock;
+
 /// Child-side rlimits + signal reset. A child inherits the parent's
-/// graceful SIGINT/SIGTERM handlers (guard/Signals); those must not run in
-/// the child — its death is the parent's signal to classify, not a
-/// cooperative shutdown — so the dispositions go back to the default.
-void childSetup(const IsolateLimits &Limits) {
+/// graceful SIGINT/SIGTERM handlers (guard/Signals), or a fork server
+/// helper's ignored ones; neither must hold in the child — its death is
+/// the parent's signal to classify, not a cooperative shutdown — so the
+/// dispositions go back to the default.
+void childSetup(const IsolateLimits &Limits, pid_t Parent) {
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   // A capture child that outlives the parent's drain must die on write,
   // not take down the process group with SIGPIPE.
   std::signal(SIGPIPE, SIG_DFL);
+#ifdef __linux__
+  // Never outlive the forking process: a killed fork server helper takes
+  // its in-flight child with it. (The forking thread waits for the child,
+  // so the signal cannot fire on a mere thread exit.)
+  prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (getppid() != Parent)
+    raise(SIGKILL); // the parent died before prctl took effect
+#else
+  (void)Parent;
+#endif
   if (Limits.CpuSeconds) {
     struct rlimit RL;
     RL.rlim_cur = static_cast<rlim_t>(Limits.CpuSeconds);
@@ -177,15 +201,30 @@ bool drainPipe(int Fd, std::string &Output) {
   }
 }
 
+/// A descriptor that polls readable once \p Pid has exited, or -1 where
+/// the host has no pidfd_open (the wait loop then naps in 2 ms periods).
+int openPidFd(pid_t Pid) {
+#if defined(__linux__) && defined(SYS_pidfd_open)
+  return static_cast<int>(syscall(SYS_pidfd_open, Pid, 0));
+#else
+  (void)Pid;
+  return -1;
+#endif
+}
+
 /// Parent-side wait loop shared by both entry points: enforces the wall
 /// deadline, drains \p ReadFd (when >= 0) while waiting, reaps with wait4
 /// for rusage, classifies. Closes ReadFd before returning.
+///
+/// One loop: a WNOHANG reap, then one poll on the child's pidfd and the
+/// capture pipe, timed out at the wall deadline, so the parent wakes the
+/// moment the child exits or writes. With no deadline and no pipe left to
+/// drain, the reap simply blocks.
 IsolateResult waitAndClassify(pid_t Pid, const IsolateLimits &Limits,
-                              std::chrono::steady_clock::time_point Start,
-                              int ReadFd, std::string *Output) {
+                              Clock::time_point Start, int ReadFd,
+                              std::string *Output) {
   auto elapsedMs = [&] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - Start)
+    return std::chrono::duration<double, std::milli>(Clock::now() - Start)
         .count();
   };
 
@@ -193,9 +232,11 @@ IsolateResult waitAndClassify(pid_t Pid, const IsolateLimits &Limits,
   struct rusage RU;
   int WStatus = 0;
   bool TimedOut = false;
-  bool NeedPoll = Limits.WallMs != 0 || ReadFd >= 0;
+  const int PidFd =
+      Limits.WallMs != 0 || ReadFd >= 0 ? openPidFd(Pid) : -1;
   for (;;) {
-    pid_t Got = wait4(Pid, &WStatus, NeedPoll ? WNOHANG : 0, &RU);
+    const bool Watch = Limits.WallMs != 0 || ReadFd >= 0;
+    pid_t Got = wait4(Pid, &WStatus, Watch ? WNOHANG : 0, &RU);
     if (Got == Pid)
       break;
     if (Got < 0) {
@@ -203,30 +244,37 @@ IsolateResult waitAndClassify(pid_t Pid, const IsolateLimits &Limits,
       R.ElapsedMs = elapsedMs();
       if (ReadFd >= 0)
         close(ReadFd);
+      if (PidFd >= 0)
+        close(PidFd);
       return R;
     }
-    if (Limits.WallMs && elapsedMs() >= static_cast<double>(Limits.WallMs)) {
-      if (!TimedOut) {
+    int TimeoutMs = -1;
+    if (Limits.WallMs) {
+      double LeftMs = static_cast<double>(Limits.WallMs) - elapsedMs();
+      if (LeftMs <= 0) {
         TimedOut = true;
         kill(Pid, SIGKILL);
+        wait4(Pid, &WStatus, 0, &RU); // blocking reap of the killed child
+        break;
       }
-      // Fall through to a blocking reap of the killed child.
-      wait4(Pid, &WStatus, 0, &RU);
-      break;
+      TimeoutMs = static_cast<int>(std::min(std::ceil(LeftMs), 1e9));
     }
-    if (ReadFd >= 0) {
-      struct pollfd PFD = {ReadFd, POLLIN, 0};
-      poll(&PFD, 1, 2);
-      if (!drainPipe(ReadFd, *Output)) {
-        close(ReadFd);
-        ReadFd = -1; // EOF reached; keep waiting for the exit status
-        NeedPoll = Limits.WallMs != 0;
-      }
-    } else {
-      struct timespec TS = {0, 2 * 1000 * 1000}; // 2ms poll
-      nanosleep(&TS, nullptr);
+    if (PidFd < 0 && (TimeoutMs < 0 || TimeoutMs > 2))
+      TimeoutMs = 2; // no exit notification: nap and re-check
+    struct pollfd PFDs[2];
+    nfds_t N = 0;
+    if (ReadFd >= 0)
+      PFDs[N++] = {ReadFd, POLLIN, 0};
+    if (PidFd >= 0)
+      PFDs[N++] = {PidFd, POLLIN, 0};
+    poll(PFDs, N, TimeoutMs);
+    if (ReadFd >= 0 && !drainPipe(ReadFd, *Output)) {
+      close(ReadFd);
+      ReadFd = -1; // EOF reached; keep waiting for the exit status
     }
   }
+  if (PidFd >= 0)
+    close(PidFd);
 
   if (ReadFd >= 0) {
     // The child is gone; collect whatever it flushed before dying.
@@ -263,13 +311,13 @@ IsolateResult pseq::guard::runIsolated(const std::function<int()> &Body,
   std::fflush(stdout);
   std::fflush(stderr);
 
-  std::chrono::steady_clock::time_point Start =
-      std::chrono::steady_clock::now();
+  const pid_t Parent = getpid();
+  Clock::time_point Start = Clock::now();
   pid_t Pid = fork();
   if (Pid < 0)
     return IsolateResult{}; // Unsupported: fork failed (EAGAIN/ENOMEM)
   if (Pid == 0) {
-    childSetup(Limits);
+    childSetup(Limits, Parent);
     childExit(Body); // never returns
   }
   return waitAndClassify(Pid, Limits, Start, -1, nullptr);
@@ -287,8 +335,8 @@ pseq::guard::runIsolatedCapture(const std::function<int(int OutFd)> &Body,
   std::fflush(stdout);
   std::fflush(stderr);
 
-  std::chrono::steady_clock::time_point Start =
-      std::chrono::steady_clock::now();
+  const pid_t Parent = getpid();
+  Clock::time_point Start = Clock::now();
   pid_t Pid = fork();
   if (Pid < 0) {
     close(Fds[0]);
@@ -297,7 +345,7 @@ pseq::guard::runIsolatedCapture(const std::function<int(int OutFd)> &Body,
   }
   if (Pid == 0) {
     close(Fds[0]);
-    childSetup(Limits);
+    childSetup(Limits, Parent);
     int WriteFd = Fds[1];
     childExit([&] { return Body(WriteFd); }); // never returns
   }
@@ -306,6 +354,217 @@ pseq::guard::runIsolatedCapture(const std::function<int(int OutFd)> &Body,
   // wall-deadline watch, and must never block on a silent child.
   fcntl(Fds[0], F_SETFL, fcntl(Fds[0], F_GETFL, 0) | O_NONBLOCK);
   return waitAndClassify(Pid, Limits, Start, Fds[0], &Output);
+}
+
+namespace {
+
+/// Fixed-size request header on a fork server's channel; the input bytes
+/// follow. Both ends are the same binary, so the layout is shared.
+struct ForkRequest {
+  uint64_t WallMs;
+  uint64_t CpuSeconds;
+  uint64_t MemBytes;
+  uint64_t InBytes;
+};
+
+/// Fixed-size reply header; the captured output bytes follow.
+struct ForkReply {
+  IsolateResult Result;
+  uint64_t OutBytes;
+};
+
+/// Waits until \p Fd is ready for \p Events or \p Deadline passes
+/// (Clock::time_point::max() waits forever).
+bool awaitFd(int Fd, short Events, Clock::time_point Deadline) {
+  if (Deadline == Clock::time_point::max())
+    return true; // the blocking call itself waits
+  for (;;) {
+    auto LeftMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      Deadline - Clock::now())
+                      .count() +
+                  1;
+    if (LeftMs <= 0)
+      return false;
+    struct pollfd PFD = {Fd, Events, 0};
+    int Ready = poll(&PFD, 1, static_cast<int>(std::min<long long>(
+                                     LeftMs, INT_MAX)));
+    if (Ready > 0)
+      return true;
+    if (Ready < 0 && errno != EINTR)
+      return false;
+  }
+}
+
+bool sendAll(int Fd, const void *Data, size_t Len,
+             Clock::time_point Deadline = Clock::time_point::max()) {
+  const char *P = static_cast<const char *>(Data);
+  while (Len) {
+    if (!awaitFd(Fd, POLLOUT, Deadline))
+      return false;
+    ssize_t N = send(Fd, P, Len, MSG_NOSIGNAL);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    P += N;
+    Len -= static_cast<size_t>(N);
+  }
+  return true;
+}
+
+bool recvAll(int Fd, void *Data, size_t Len,
+             Clock::time_point Deadline = Clock::time_point::max()) {
+  char *P = static_cast<char *>(Data);
+  while (Len) {
+    if (!awaitFd(Fd, POLLIN, Deadline))
+      return false;
+    ssize_t N = recv(Fd, P, Len, 0);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false; // EOF: the other end is gone
+    P += N;
+    Len -= static_cast<size_t>(N);
+  }
+  return true;
+}
+
+/// Closes every descriptor above stdio except \p Keep. A helper that kept
+/// the listen socket, a connection or another helper's channel open would
+/// hold that resource past its owner's close — another helper would then
+/// never see EOF, and a server waiting for it would never stop.
+void closeInheritedFds(int Keep) {
+#if defined(__linux__) && defined(SYS_close_range)
+  bool Closed =
+      (Keep <= 3 ||
+       syscall(SYS_close_range, 3u, static_cast<unsigned>(Keep - 1), 0u) ==
+           0) &&
+      syscall(SYS_close_range, static_cast<unsigned>(std::max(3, Keep + 1)),
+              ~0u, 0u) == 0;
+  if (Closed)
+    return;
+#endif
+  int Max = 1024;
+  struct rlimit RL;
+  if (getrlimit(RLIMIT_NOFILE, &RL) == 0 && RL.rlim_cur != RLIM_INFINITY)
+    Max = static_cast<int>(std::min<rlim_t>(RL.rlim_cur, 1 << 16));
+  for (int Fd = 3; Fd < Max; ++Fd)
+    if (Fd != Keep)
+      close(Fd);
+}
+
+/// The helper process: serves requests on \p Chan until EOF.
+[[noreturn]] void helperMain(int Chan, const ForkServer::Body &Fn) {
+  // Shutdown is the owner's decision, delivered as EOF on the channel; a
+  // terminal's SIGINT to the whole process group must not pre-empt it.
+  std::signal(SIGINT, SIG_IGN);
+  std::signal(SIGTERM, SIG_IGN);
+  closeInheritedFds(Chan);
+  std::string In, Out;
+  for (;;) {
+    ForkRequest Req;
+    if (!recvAll(Chan, &Req, sizeof(Req)))
+      std::_Exit(0);
+    In.resize(Req.InBytes);
+    if (!recvAll(Chan, In.data(), In.size()))
+      std::_Exit(0);
+    IsolateLimits Limits;
+    Limits.WallMs = Req.WallMs;
+    Limits.CpuSeconds = Req.CpuSeconds;
+    Limits.MemBytes = Req.MemBytes;
+    ForkReply Rep;
+    Rep.Result = runIsolatedCapture(
+        [&](int OutFd) {
+          close(Chan); // the job must not keep the helper's channel open
+          return Fn(In, OutFd);
+        },
+        Limits, Out);
+    Rep.OutBytes = Out.size();
+    if (!sendAll(Chan, &Rep, sizeof(Rep)) ||
+        !sendAll(Chan, Out.data(), Out.size()))
+      std::_Exit(0);
+  }
+}
+
+} // namespace
+
+ForkServer::ForkServer(Body F) : Fn(std::move(F)) {}
+
+ForkServer::~ForkServer() {
+  if (Helper < 0)
+    return;
+  close(Chan); // the helper exits on EOF
+  while (waitpid(Helper, nullptr, 0) < 0 && errno == EINTR)
+    ;
+}
+
+bool ForkServer::spawn() {
+  int Sv[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0)
+    return false;
+  std::fflush(stdout);
+  std::fflush(stderr);
+  pid_t Pid = fork();
+  if (Pid < 0) {
+    close(Sv[0]);
+    close(Sv[1]);
+    return false;
+  }
+  if (Pid == 0) {
+    close(Sv[0]);
+    helperMain(Sv[1], Fn); // never returns
+  }
+  close(Sv[1]);
+  Helper = Pid;
+  Chan = Sv[0];
+  Spawns.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+IsolateResult ForkServer::helperLost(double ElapsedMs) {
+  kill(Helper, SIGKILL);
+  int WStatus = 0;
+  while (waitpid(Helper, &WStatus, 0) < 0 && errno == EINTR)
+    ;
+  close(Chan);
+  Helper = -1;
+  Chan = -1;
+  IsolateResult R = classify(WStatus);
+  R.Status = IsolateStatus::Crash; // retryable, whatever killed it
+  R.ElapsedMs = ElapsedMs;
+  return R;
+}
+
+IsolateResult ForkServer::run(const std::string &In,
+                              const IsolateLimits &Limits,
+                              std::string &Output) {
+  Output.clear();
+  if (Helper < 0 && !spawn())
+    return IsolateResult{}; // Unsupported
+  const Clock::time_point Start = Clock::now();
+  // The helper enforces WallMs on the job itself; a helper silent for a
+  // second past that is wedged or dead.
+  const Clock::time_point Deadline =
+      Limits.WallMs ? Start + std::chrono::milliseconds(Limits.WallMs + 1000)
+                    : Clock::time_point::max();
+  ForkRequest Req = {Limits.WallMs, Limits.CpuSeconds, Limits.MemBytes,
+                     static_cast<uint64_t>(In.size())};
+  ForkReply Rep;
+  bool Answered = sendAll(Chan, &Req, sizeof(Req), Deadline) &&
+                  sendAll(Chan, In.data(), In.size(), Deadline) &&
+                  recvAll(Chan, &Rep, sizeof(Rep), Deadline) &&
+                  Rep.OutBytes <= CaptureCapBytes;
+  if (Answered) {
+    Output.resize(Rep.OutBytes);
+    Answered = recvAll(Chan, Output.data(), Output.size(), Deadline);
+  }
+  if (!Answered) {
+    Output.clear();
+    return helperLost(std::chrono::duration<double, std::milli>(
+                          Clock::now() - Start)
+                          .count());
+  }
+  return Rep.Result;
 }
 
 #else // !PSEQ_HAVE_FORK
@@ -318,6 +577,16 @@ IsolateResult pseq::guard::runIsolated(const std::function<int()> &,
 IsolateResult pseq::guard::runIsolatedCapture(
     const std::function<int(int OutFd)> &, const IsolateLimits &,
     std::string &Output) {
+  Output.clear();
+  return IsolateResult{};
+}
+
+ForkServer::ForkServer(Body F) : Fn(std::move(F)) {}
+
+ForkServer::~ForkServer() = default;
+
+IsolateResult ForkServer::run(const std::string &, const IsolateLimits &,
+                              std::string &Output) {
   Output.clear();
   return IsolateResult{};
 }

@@ -13,6 +13,11 @@
 /// crash signal. The parent survives anything the child does, so one
 /// pathological input cannot take down a whole campaign.
 ///
+/// `ForkServer` runs the same one-shot children, but forks them from a
+/// small single-threaded helper process instead of from the caller, so a
+/// multi-threaded caller's pages are not write-protected by every job's
+/// fork and its other threads never stall on one.
+///
 /// On non-POSIX hosts (and when explicitly disabled) the isolation status
 /// is `Unsupported` and callers fall back to in-process execution.
 ///
@@ -21,6 +26,7 @@
 #ifndef PSEQ_GUARD_ISOLATE_H
 #define PSEQ_GUARD_ISOLATE_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -95,6 +101,65 @@ IsolateResult runIsolated(const std::function<int()> &Body,
 IsolateResult runIsolatedCapture(const std::function<int(int OutFd)> &Body,
                                  const IsolateLimits &Limits,
                                  std::string &Output);
+
+/// A helper process that forks isolated children on the caller's behalf.
+///
+/// The helper is forked from the caller on the first `run()` and serves
+/// one request at a time over a socketpair: it reads the input and the
+/// limits, runs `runIsolatedCapture` around the fixed body, and sends back
+/// the IsolateResult and the captured output. Every job therefore still
+/// runs in a fresh process under its own rlimits, wall deadline, pipe
+/// capture and rusage classification; only the forking process changes.
+///
+/// The helper closes every descriptor it inherited except its channel
+/// (and stdio), ignores SIGINT/SIGTERM, and exits when the channel reaches
+/// EOF, so it never outlives the caller's end of the channel. Its job
+/// children keep `runIsolated`'s default dispositions and, on Linux, are
+/// SIGKILLed when the helper dies. If the helper dies or does not answer
+/// within `WallMs` + 1 s, `run()` reports `Crash`, reaps it, and the next
+/// `run()` spawns a fresh one.
+///
+/// Not thread-safe: one caller thread per ForkServer (a server owns one per
+/// worker). As with `runIsolated`, the body must not take a lock another
+/// thread of the caller may hold: the helper inherits the caller's memory
+/// as it was at the spawn, locks included.
+class ForkServer {
+public:
+  /// The child's body: the request input and the capture pipe's write end.
+  /// The return value becomes the child's exit code, as in `runIsolated`.
+  using Body = std::function<int(const std::string &In, int OutFd)>;
+
+  explicit ForkServer(Body Fn);
+  /// Closes the channel and reaps the helper (which exits on EOF).
+  ~ForkServer();
+
+  ForkServer(const ForkServer &) = delete;
+  ForkServer &operator=(const ForkServer &) = delete;
+
+  /// Runs the body on \p In in a fresh child of the helper, like
+  /// `runIsolatedCapture`. `Unsupported` when the helper cannot be
+  /// spawned (no fork, or fork/socketpair failed).
+  IsolateResult run(const std::string &In, const IsolateLimits &Limits,
+                    std::string &Output);
+
+  /// Helpers spawned so far (the first plus every respawn after a death).
+  /// Safe to read from any thread.
+  uint64_t spawns() const { return Spawns.load(std::memory_order_relaxed); }
+
+  /// The live helper's pid, or -1 when none is running.
+  int helperPid() const { return Helper; }
+
+private:
+  bool spawn();
+  /// Kills and reaps the helper, closes the channel, and classifies the
+  /// helper's death as the Crash of the current request.
+  IsolateResult helperLost(double ElapsedMs);
+
+  Body Fn;
+  int Helper = -1; ///< helper pid
+  int Chan = -1;   ///< caller's end of the socketpair
+  std::atomic<uint64_t> Spawns{0};
+};
 
 } // namespace guard
 } // namespace pseq

@@ -740,9 +740,13 @@ CertVerdict PsMachine::searchCertification(const PsMachineState &S,
   // without running out of budget; each one's verdict is known exactly.
   // (States on a successful path get no entry: a search from one of them
   // may run out of budget before it finds the success.)
+  // Keys the frozen table already holds are known and are not queued again.
   constexpr CertVerdict Fails{/*Ok=*/false, /*BudgetHit=*/false};
-  for (const PsMachineState &X : Visited)
-    Pending.emplace(certKey(X, Tid), Fails);
+  for (const PsMachineState &X : Visited) {
+    memo::Fp128 Key = certKey(X, Tid);
+    if (!Table || !Table->count(Key))
+      Pending.emplace(Key, Fails);
+  }
   return Fails;
 }
 

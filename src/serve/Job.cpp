@@ -156,7 +156,59 @@ bool chaosKillsThisJob(const memo::Fp128 &Fp, uint64_t Seed) {
   return F.Lo % 3 == 0;
 }
 
+/// \p Req with \p Policy's defaults filled in: an isolated attempt then
+/// runs under `NoDefaults` and reaches exactly the verdict the worker's
+/// policy would.
+JobRequest resolvedRequest(const JobRequest &Req, const JobPolicy &Policy) {
+  JobRequest R = Req;
+  if (!R.StepBudget)
+    R.StepBudget = Policy.DefaultStepBudget;
+  if (!R.DeadlineMs)
+    R.DeadlineMs = Policy.DefaultDeadlineMs;
+  if (!R.MemMb)
+    R.MemMb = Policy.DefaultMemMb;
+  return R;
+}
+
+const JobPolicy NoDefaults = [] {
+  JobPolicy P;
+  P.DefaultStepBudget = 0;
+  P.DefaultDeadlineMs = 0;
+  P.DefaultMemMb = 0;
+  return P;
+}();
+
+bool writeAll(int Fd, const std::string &Bytes) {
+  size_t Off = 0;
+  while (Off < Bytes.size()) {
+    ssize_t N = write(Fd, Bytes.data() + Off, Bytes.size() - Off);
+    if (N <= 0)
+      return false;
+    Off += static_cast<size_t>(N);
+  }
+  return true;
+}
+
 } // namespace
+
+int pseq::serve::runIsolatedJob(const std::string &In, int OutFd) {
+  // Layout: one chaos byte, the resolved request's JSON (one line), a
+  // newline, then the known lint verdict (possibly empty).
+  size_t Nl = In.find('\n');
+  if (Nl == std::string::npos || Nl == 0)
+    return 1;
+  Request Req = parseRequest(In.substr(1, Nl - 1));
+  if (Req.Op != RequestOp::Job)
+    return 1;
+  if (In[0] == '1') {
+    // Chaos: die exactly the way a SIGKILLed worker dies, after the job
+    // has started but before any result is written.
+    raise(SIGKILL);
+  }
+  JobResult Inner;
+  runJobInner(Req.Job, NoDefaults, In.substr(Nl + 1), Inner);
+  return writeAll(OutFd, encodeJobResult(Inner)) ? 0 : 1;
+}
 
 memo::Fp128 pseq::serve::jobFingerprint(const JobRequest &Req,
                                         const JobPolicy &Policy) {
@@ -227,7 +279,12 @@ JobResult pseq::serve::runJob(const JobRequest &Req, const JobPolicy &Policy,
   bool HaveVerdict = false;
   unsigned Attempt = 0;
   const unsigned MaxAttempts = Policy.MaxAttempts ? Policy.MaxAttempts : 1;
-  const bool Isolated = Policy.Isolate && guard::isolationSupported();
+  const bool Isolated = Deps.Isolator != nullptr;
+  // What every attempt sends runIsolatedJob, after its chaos byte.
+  const std::string AttemptIn =
+      Isolated ? encodeJobRequest(resolvedRequest(Req, Policy)) + "\n" +
+                     KnownLint
+               : std::string();
 
   for (; Attempt != MaxAttempts && !HaveVerdict; ++Attempt) {
     if (Attempt) {
@@ -258,27 +315,8 @@ JobResult pseq::serve::runJob(const JobRequest &Req, const JobPolicy &Policy,
     Limits.MemBytes = (MemMb << 20) * 4 + (256u << 20);
 
     std::string Payload;
-    guard::IsolateResult IR = guard::runIsolatedCapture(
-        [&](int OutFd) {
-          if (InjectKill) {
-            // Chaos: die exactly the way a SIGKILLed worker dies, after
-            // the job has started but before any result is written.
-            raise(SIGKILL);
-          }
-          JobResult Inner;
-          runJobInner(Req, Policy, KnownLint, Inner);
-          std::string Encoded = encodeJobResult(Inner);
-          size_t Off = 0;
-          while (Off < Encoded.size()) {
-            ssize_t N =
-                write(OutFd, Encoded.data() + Off, Encoded.size() - Off);
-            if (N <= 0)
-              return 1;
-            Off += static_cast<size_t>(N);
-          }
-          return 0;
-        },
-        Limits, Payload);
+    guard::IsolateResult IR = Deps.Isolator->run(
+        (InjectKill ? "1" : "0") + AttemptIn, Limits, Payload);
 
     R = JobResult();
     R.PeakRssKb = IR.PeakRssKb;
@@ -323,7 +361,8 @@ JobResult pseq::serve::runJob(const JobRequest &Req, const JobPolicy &Policy,
                            std::to_string(IR.ExitCode);
       break;
     case guard::IsolateStatus::Unsupported:
-      // fork failed (or no fork on this host): degrade to in-process.
+      // The helper could not be spawned (fork or socketpair failed, or no
+      // fork on this host): degrade to in-process.
       R = JobResult();
       runJobInner(Req, Policy, KnownLint, R);
       HaveVerdict = true;

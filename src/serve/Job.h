@@ -14,8 +14,9 @@
 /// The pipeline per job:
 ///   1. cache probe (VerdictCache, deterministic outcomes only)
 ///   2. lint memo probe (MemoContext::ServeVerdicts, keyed by source only)
-///   3. up to MaxAttempts isolated runs (guard/Isolate fork + rlimits +
-///      pipe capture), with capped exponential backoff between attempts;
+///   3. up to MaxAttempts isolated runs (a fresh child of the worker's
+///      guard::ForkServer helper, under rlimits + pipe capture), with
+///      capped exponential backoff between attempts;
 ///      crashes retry, resource verdicts (deadline/oom) do not — they are
 ///      deterministic enough that a retry would just burn the budget again
 ///   4. classification of whatever came back, rusage included
@@ -35,6 +36,11 @@
 #include "serve/VerdictCache.h"
 
 namespace pseq {
+
+namespace guard {
+class ForkServer;
+}
+
 namespace serve {
 
 /// Server-level execution policy applied to every job.
@@ -45,15 +51,20 @@ struct JobPolicy {
   unsigned MaxAttempts = 3;    ///< isolated tries per job (>= 1)
   uint64_t BackoffBaseMs = 10; ///< sleep before retry k: base << k ...
   uint64_t BackoffCapMs = 200; ///< ... capped here
-  bool Isolate = true;         ///< fork workers (false: in-process only)
+  bool Isolate = true;         ///< server workers get fork servers (false:
+                               ///< jobs run in-process)
   bool Chaos = false;          ///< inject deterministic worker kills
   uint64_t ChaosSeed = 1;
 };
 
-/// Borrowed caches (either may be null: that feature is then off).
+/// Borrowed caches and the worker's fork server (any may be null: that
+/// feature is then off).
 struct JobDeps {
   memo::MemoContext *Memo = nullptr; ///< ServeVerdicts lint table
   VerdictCache *Cache = nullptr;     ///< cross-request response cache
+  /// The worker's fork server, built around `runIsolatedJob`. Jobs are
+  /// isolated only through it: with none they run in-process.
+  guard::ForkServer *Isolator = nullptr;
 };
 
 /// Per-job observations the server folds into its tallies (JobResult only
@@ -68,6 +79,13 @@ struct JobTrace {
 /// pipeline config salt for pipeline jobs — everything that can change a
 /// deterministic verdict, nothing that only changes timing.
 memo::Fp128 jobFingerprint(const JobRequest &Req, const JobPolicy &Policy);
+
+/// The body of every isolated attempt, for a guard::ForkServer: decodes
+/// what `runJob` sends (the chaos flag, the known lint verdict, and the
+/// request with the policy's defaults filled in), runs the job, and writes
+/// its encoded JobResult to \p OutFd. Nonzero when \p In is malformed or
+/// the write fails.
+int runIsolatedJob(const std::string &In, int OutFd);
 
 /// Runs \p Req under \p Policy. Total: always produces a JobResult with
 /// one of the taxonomy statuses (never Overloaded/Shutdown — those are

@@ -51,9 +51,18 @@ bool Server::start(std::string &Err) {
   if (ListenFd < 0)
     return false;
   unsigned N = std::max(1u, Opts.NumWorkers);
+  // Helpers spawn lazily, on each worker's first isolated job: start-up
+  // stays as fast as with no isolation at all.
+  if (Opts.Policy.Isolate && guard::isolationSupported())
+    for (unsigned I = 0; I != N; ++I)
+      Isolators.push_back(
+          std::make_unique<guard::ForkServer>(runIsolatedJob));
   Workers.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+  for (unsigned I = 0; I != N; ++I) {
+    guard::ForkServer *Isolator =
+        Isolators.empty() ? nullptr : Isolators[I].get();
+    Workers.emplace_back([this, Isolator] { workerLoop(Isolator); });
+  }
   return true;
 }
 
@@ -256,10 +265,11 @@ void Server::recordResult(const JobResult &R, const JobTrace &Trace) {
     ;
 }
 
-void Server::workerLoop() {
+void Server::workerLoop(guard::ForkServer *Isolator) {
   JobDeps Deps;
   Deps.Memo = &Memo;
   Deps.Cache = &Cache;
+  Deps.Isolator = Isolator;
   for (;;) {
     QueuedJob QJ;
     {
@@ -303,6 +313,10 @@ void Server::statsSnapshot(std::map<std::string, uint64_t> &Counters,
   Counters["serve.worker.sys_ms"] = L(T.WorkerSysMs);
   Counters["serve.snapshot.loaded"] = L(T.SnapshotLoaded);
   Counters["serve.snapshot.saved"] = L(T.SnapshotSaved);
+  uint64_t Spawns = 0;
+  for (const auto &I : Isolators)
+    Spawns += I->spawns();
+  Counters["serve.isolate.spawns"] = Spawns;
 
   VerdictCache::CacheStats CS = Cache.stats();
   Counters["serve.cache.hits"] = CS.Hits;

@@ -15,8 +15,13 @@
 ///  * Admission control: a bounded job queue with a high-water mark;
 ///    past it, jobs are answered `overloaded` immediately instead of
 ///    growing memory without bound.
-///  * Crash isolation: workers fork per job; a SIGSEGV/OOM/runaway child
-///    is classified and retried by the job layer, never takes the daemon.
+///  * Crash isolation: every job runs in a fresh process under its own
+///    rlimits; a SIGSEGV/OOM/runaway child is classified and retried by
+///    the job layer, never takes the daemon. The children are forked not
+///    by the daemon (a fork per job write-protected the daemon's heap and
+///    stalled its other threads) but by a small single-threaded helper
+///    per worker (guard::ForkServer), spawned on the worker's first
+///    isolated job and respawned after it dies.
 ///  * Warm restart: the verdict cache and the lint memo table snapshot to
 ///    disk (atomically) on shutdown and reload on start, so a SIGTERMed
 ///    and restarted server answers repeated jobs from cache.
@@ -26,7 +31,9 @@
 ///    exits with GracefulSignalExit.
 ///
 /// Concurrency: one accept loop (poll-based, in run()), one reader thread
-/// per connection, NumWorkers worker threads popping a shared queue.
+/// per connection, NumWorkers worker threads popping a shared queue, and
+/// one fork server helper process per worker (reaped when the server is
+/// destroyed).
 /// Replies are serialized per connection by a per-connection write mutex;
 /// tallies are lock-free atomics mirrored into `serve.*` telemetry keys.
 ///
@@ -35,6 +42,7 @@
 #ifndef PSEQ_SERVE_SERVER_H
 #define PSEQ_SERVE_SERVER_H
 
+#include "guard/Isolate.h"
 #include "serve/Job.h"
 
 #include <atomic>
@@ -134,7 +142,7 @@ private:
   };
 
   void readerLoop(std::shared_ptr<Connection> Conn);
-  void workerLoop();
+  void workerLoop(guard::ForkServer *Isolator);
   void reply(Connection &Conn, const std::string &Payload);
   void handleJobFrame(const std::shared_ptr<Connection> &Conn,
                       JobRequest Req);
@@ -154,6 +162,9 @@ private:
   std::deque<QueuedJob> Queue;
   std::atomic<bool> Stopping{false};
 
+  /// One per worker when jobs are isolated; never resized after start(),
+  /// so statsSnapshot may read it from any thread.
+  std::vector<std::unique_ptr<guard::ForkServer>> Isolators;
   std::vector<std::thread> Workers;
   std::mutex ConnsMu;
   std::vector<std::shared_ptr<Connection>> Conns;

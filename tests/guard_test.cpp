@@ -40,12 +40,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
 
 using namespace pseq;
 
@@ -951,6 +958,182 @@ TEST(IsolateTest, ExternalSigkillIsACrashNotADeadline) {
   EXPECT_EQ(R.Status, guard::IsolateStatus::Crash);
   EXPECT_EQ(R.Signal, SIGKILL);
 }
+
+//===----------------------------------------------------------------------===//
+// Fork server
+//===----------------------------------------------------------------------===//
+
+/// A fork server body driven by its input: "echo:<text>" writes <text>,
+/// "exit:<n>" exits n, "abort", "throw", "sleep" (20 s, bounded stand-in
+/// for a hang) and "alloc" (allocate-and-touch up to 1 GB).
+int scriptedBody(const std::string &In, int OutFd) {
+  if (In.rfind("echo:", 0) == 0) {
+    std::string Text = In.substr(5);
+    return write(OutFd, Text.data(), Text.size()) ==
+                   static_cast<ssize_t>(Text.size())
+               ? 0
+               : 1;
+  }
+  if (In.rfind("exit:", 0) == 0)
+    return std::atoi(In.c_str() + 5);
+  if (In == "abort")
+    std::abort();
+  if (In == "throw")
+    throw std::runtime_error("boom");
+  if (In == "sleep") {
+    std::this_thread::sleep_for(std::chrono::seconds(20));
+    return 0;
+  }
+  if (In == "alloc") {
+    std::vector<std::unique_ptr<char[]>> Chunks;
+    for (int I = 0; I != 64; ++I) {
+      Chunks.push_back(std::make_unique<char[]>(16u << 20));
+      Chunks.back()[0] = 1;
+    }
+    return 0;
+  }
+  return 99;
+}
+
+TEST(ForkServerTest, CapturesOutputAndReusesOneHelper) {
+  if (!guard::isolationSupported())
+    GTEST_SKIP() << "no fork() on this host";
+  if (PSEQ_TEST_TSAN)
+    GTEST_SKIP() << "fork-based tests are skipped under TSan";
+
+  guard::ForkServer FS(scriptedBody);
+  EXPECT_EQ(FS.spawns(), 0u) << "the helper must spawn lazily";
+  EXPECT_EQ(FS.helperPid(), -1);
+  std::string Output;
+  guard::IsolateResult R = FS.run("echo:payload from the child", {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Ok);
+  EXPECT_EQ(Output, "payload from the child");
+  EXPECT_GT(R.PeakRssKb, 0u) << "the helper's wait4 rusage was not relayed";
+  const int Helper = FS.helperPid();
+  EXPECT_GT(Helper, 0);
+
+  // A large payload crosses the channel intact, and the helper is reused.
+  std::string Big(3u << 20, 'x');
+  R = FS.run("echo:" + Big, {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Ok);
+  EXPECT_EQ(Output, Big);
+  EXPECT_EQ(FS.helperPid(), Helper);
+  EXPECT_EQ(FS.spawns(), 1u);
+}
+
+TEST(ForkServerTest, ClassifiesThroughTheHelper) {
+  if (!guard::isolationSupported())
+    GTEST_SKIP() << "no fork() on this host";
+  if (PSEQ_TEST_TSAN)
+    GTEST_SKIP() << "fork-based tests are skipped under TSan";
+
+  guard::ForkServer FS(scriptedBody);
+  std::string Output;
+  guard::IsolateResult R = FS.run("exit:0", {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Ok);
+
+  R = FS.run("exit:7", {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Fail);
+  EXPECT_EQ(R.ExitCode, 7);
+
+  R = FS.run("abort", {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Crash);
+  EXPECT_EQ(R.Signal, SIGABRT);
+
+  R = FS.run("throw", {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Crash);
+  EXPECT_EQ(R.ExitCode, guard::IsolateExceptionExit);
+
+  // The limits travel to the helper: its wall deadline reaps the hang
+  // well inside the caller's WallMs + 1 s patience.
+  guard::IsolateLimits Wall;
+  Wall.WallMs = 200;
+  R = FS.run("sleep", Wall, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Deadline);
+  EXPECT_EQ(R.Signal, SIGKILL);
+  EXPECT_LT(R.ElapsedMs, 10000.0);
+
+  if (!guard::underSanitizer()) {
+    guard::IsolateLimits Mem;
+    Mem.MemBytes = 64ull << 20;
+    R = FS.run("alloc", Mem, Output);
+    EXPECT_EQ(R.Status, guard::IsolateStatus::Oom);
+    EXPECT_EQ(R.ExitCode, guard::IsolateOomExit);
+  }
+
+  // Every child died alone: one helper served them all.
+  EXPECT_EQ(FS.spawns(), 1u);
+  R = FS.run("exit:0", {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Ok);
+  EXPECT_EQ(FS.spawns(), 1u);
+}
+
+TEST(ForkServerTest, KilledHelperIsOneCrashThenARespawn) {
+  if (!guard::isolationSupported())
+    GTEST_SKIP() << "no fork() on this host";
+  if (PSEQ_TEST_TSAN)
+    GTEST_SKIP() << "fork-based tests are skipped under TSan";
+
+  guard::ForkServer FS(scriptedBody);
+  std::string Output;
+  ASSERT_EQ(FS.run("exit:0", {}, Output).Status, guard::IsolateStatus::Ok);
+  const int Helper = FS.helperPid();
+  ASSERT_GT(Helper, 0);
+
+  // Kill the helper while its child sleeps: the request is lost, and the
+  // caller sees it as a crash long before the job's wall deadline.
+  std::thread Killer([Helper] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    kill(Helper, SIGKILL);
+  });
+  guard::IsolateLimits Limits;
+  Limits.WallMs = 15000;
+  guard::IsolateResult R = FS.run("sleep", Limits, Output);
+  Killer.join();
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Crash);
+  EXPECT_EQ(R.Signal, SIGKILL);
+  EXPECT_LT(R.ElapsedMs, 10000.0);
+  EXPECT_EQ(FS.helperPid(), -1) << "the dead helper must be reaped";
+
+  R = FS.run("echo:again", {}, Output);
+  EXPECT_EQ(R.Status, guard::IsolateStatus::Ok);
+  EXPECT_EQ(Output, "again");
+  EXPECT_NE(FS.helperPid(), Helper);
+  EXPECT_EQ(FS.spawns(), 2u);
+}
+
+#ifdef __linux__
+/// Descriptors above stdio that process \p Pid holds open.
+std::vector<int> openFdsAboveStdio(int Pid) {
+  std::vector<int> Fds;
+  std::string Dir = "/proc/" + std::to_string(Pid) + "/fd";
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    int Fd = std::atoi(E.path().filename().c_str());
+    if (Fd > 2)
+      Fds.push_back(Fd);
+  }
+  return Fds;
+}
+
+TEST(ForkServerTest, HelperKeepsOnlyItsChannel) {
+  if (PSEQ_TEST_TSAN)
+    GTEST_SKIP() << "fork-based tests are skipped under TSan";
+
+  // Stand-ins for a server's listen socket and connections.
+  int Pipe[2];
+  ASSERT_EQ(pipe(Pipe), 0);
+  guard::ForkServer A(scriptedBody), B(scriptedBody);
+  std::string Output;
+  ASSERT_EQ(A.run("exit:0", {}, Output).Status, guard::IsolateStatus::Ok);
+  // B's helper is forked while A's channel is open in this process.
+  ASSERT_EQ(B.run("exit:0", {}, Output).Status, guard::IsolateStatus::Ok);
+  EXPECT_EQ(openFdsAboveStdio(A.helperPid()).size(), 1u);
+  EXPECT_EQ(openFdsAboveStdio(B.helperPid()).size(), 1u)
+      << "B's helper holds an inherited descriptor (A's channel?)";
+  close(Pipe[0]);
+  close(Pipe[1]);
+}
+#endif
 
 //===----------------------------------------------------------------------===//
 // Graceful shutdown signals

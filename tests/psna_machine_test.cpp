@@ -515,9 +515,10 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
   // (so rejections occur), at the case's node budget and at a tiny one (so
   // searches run out). A search that fails within budget also answers for
   // every state it visited, so some hits land on keys no search started
-  // from.
+  // from. The verdicts a machine hands back are new ones only: none
+  // re-queues a key its frozen table already holds.
   size_t Queries = 0, Hits = 0, VisitedHits = 0, Rejected = 0,
-         BudgetHits = 0;
+         BudgetHits = 0, Requeued = 0, Taken = 0;
   for (unsigned NodeBudget : {20000u, 6u}) {
     for (const LitmusCase &LC : litmusCorpus()) {
       if (LC.PromiseBudget == 0)
@@ -554,7 +555,11 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
                 << LC.Name << " tid " << Tid << ": " << Q.str();
             EXPECT_EQ(Tabled.certBudgetHit(), Fresh.certBudgetHit())
                 << LC.Name << " tid " << Tid << ": " << Q.str();
-            Table.merge(Tabled.takeCertVerdicts());
+            CertTable New = Tabled.takeCertVerdicts();
+            for (const auto &KV : New)
+              Requeued += Table.count(KV.first);
+            Taken += New.size();
+            Table.merge(New);
             ++Queries;
             Rejected += !Want;
             BudgetHits += Fresh.certBudgetHit();
@@ -570,6 +575,8 @@ TEST(PsCertTableTest, TableVerdictsMatchFreshSearches) {
   EXPECT_GT(VisitedHits, 0u);
   EXPECT_GT(Rejected, 100u);
   EXPECT_GT(BudgetHits, 100u);
+  EXPECT_GT(Taken, 1000u);
+  EXPECT_EQ(Requeued, 0u) << "pending verdicts repeat frozen-table keys";
 }
 
 //===----------------------------------------------------------------------===

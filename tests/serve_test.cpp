@@ -11,10 +11,11 @@
 //  * MemoContext string-table export/import;
 //  * the LRU byte-capped verdict cache, including save/load recency;
 //  * job fingerprint sensitivity;
-//  * runJob in-process, isolated, and under chaos injection (exactly one
-//    verdict per job, crashes retried);
+//  * runJob in-process, isolated through a fork server, and under chaos
+//    injection (exactly one verdict per job, crashes retried);
 //  * the server end to end over a real Unix socket: batch, stats, shed,
-//    graceful shutdown, and a warm SIGTERM-style restart from snapshots.
+//    graceful shutdown, a warm SIGTERM-style restart from snapshots, and
+//    fork-isolating workers that reuse one helper each and still stop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -665,13 +667,16 @@ TEST(JobTest, IsolatedJobCarriesRusage) {
     GTEST_SKIP() << "fork-based tests are skipped under TSan";
 
   serve::JobPolicy Policy;
+  guard::ForkServer Isolator(serve::runIsolatedJob);
   serve::JobDeps Deps;
+  Deps.Isolator = &Isolator;
   serve::JobRequest J = pairJob(1, okCase());
   serve::JobTrace T;
   serve::JobResult R = serve::runJob(J, Policy, Deps, T);
   EXPECT_EQ(R.Status, serve::JobStatus::Ok) << R.Detail;
   EXPECT_EQ(R.Attempts, 1u);
   EXPECT_GT(R.PeakRssKb, 0u) << "child rusage not captured";
+  EXPECT_EQ(Isolator.spawns(), 1u);
 }
 
 TEST(JobTest, ChaosKillIsRetriedToARealVerdict) {
@@ -683,7 +688,9 @@ TEST(JobTest, ChaosKillIsRetriedToARealVerdict) {
   serve::JobPolicy Policy;
   Policy.Chaos = true;
   Policy.BackoffBaseMs = 1; // keep the test fast
+  guard::ForkServer Isolator(serve::runIsolatedJob);
   serve::JobDeps Deps;
+  Deps.Isolator = &Isolator;
 
   // Walk the corpus until the deterministic chaos predicate selects a job;
   // over the whole corpus (~1/3 selection rate) one is all but certain.
@@ -708,6 +715,8 @@ TEST(JobTest, ChaosKillIsRetriedToARealVerdict) {
   }
   EXPECT_TRUE(SawInjection)
       << "chaos predicate selected no corpus job; seed drifted?";
+  // The kill took the job's child, not the helper that forked it.
+  EXPECT_EQ(Isolator.spawns(), 1u);
 }
 
 TEST(JobTest, ChaosSelectionIsDeterministic) {
@@ -751,6 +760,8 @@ struct ServerHandle {
   }
 
   void stopAndJoin() {
+    if (!Srv)
+      return;
     Srv->requestStop();
     if (Runner.joinable())
       Runner.join();
@@ -941,6 +952,78 @@ TEST(ServerTest, QueuedJobsAreAnsweredShutdownOnDrain) {
     serve::closeFd(Fd);
   }
   H.stopAndJoin();
+}
+
+/// Reads one counter of the `stats` op.
+double statsCounter(const std::string &Socket, const std::string &Key) {
+  int Fd = serve::connectUnix(Socket);
+  if (Fd < 0)
+    return -1;
+  std::string Payload;
+  obs::JsonValue V;
+  double Value = -1;
+  if (serve::sendFrame(Fd, serve::encodeStatsRequest()) &&
+      serve::recvFrame(Fd, Payload) && obs::JsonValue::parse(Payload, V))
+    if (const obs::JsonValue *C = V.field("counters"))
+      if (const obs::JsonValue *F = C->field(Key))
+        Value = F->asNumber();
+  serve::closeFd(Fd);
+  return Value;
+}
+
+TEST(ServerTest, IsolatedWorkersReuseOneHelperEachAndStop) {
+  if (PSEQ_TEST_TSAN)
+    GTEST_SKIP() << "fork-based tests are skipped under TSan";
+  std::string Dir = makeTempDir();
+  std::string Socket = Dir + "/srv.sock";
+  obs::Telemetry Telem;
+  serve::ServerOptions Opts;
+  Opts.SocketPath = Socket;
+  Opts.NumWorkers = 2;
+  Opts.Telem = &Telem;
+  ServerHandle H(std::move(Opts));
+  ASSERT_TRUE(H.start());
+  // Helpers spawn on first use, not at start-up.
+  EXPECT_EQ(statsCounter(Socket, "serve.isolate.spawns"), 0.0);
+
+  // Distinct loop-free jobs: every one is a cache miss, so each runs in a
+  // fresh child, and with all of them queued at once both workers run some.
+  std::vector<serve::JobRequest> Jobs;
+  for (const RefinementCase &C : refinementCorpus())
+    if (!C.HasLoops && Jobs.size() != 24)
+      Jobs.push_back(pairJob(Jobs.size() + 1, C));
+  for (int Batch = 0; Batch != 2; ++Batch) {
+    std::map<uint64_t, serve::JobResult> Results = submitBatch(Socket, Jobs);
+    ASSERT_EQ(Results.size(), Jobs.size());
+    for (const auto &KV : Results) {
+      EXPECT_TRUE(KV.second.Status == serve::JobStatus::Ok ||
+                  KV.second.Status == serve::JobStatus::Rejected)
+          << "job " << KV.first << ": " << KV.second.Detail;
+      if (Batch == 0) {
+        EXPECT_GT(KV.second.PeakRssKb, 0u) << "job " << KV.first;
+      }
+    }
+    // One helper per worker, reused for every job of both batches.
+    EXPECT_EQ(statsCounter(Socket, "serve.isolate.spawns"), 2.0);
+  }
+
+  // A helper that kept another helper's channel, or the listen socket,
+  // open would never see EOF, and the server would never finish stopping.
+  std::atomic<bool> Stopped{false};
+  std::thread Watchdog([&] {
+    for (int I = 0; I != 300 && !Stopped; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    if (!Stopped) {
+      std::fprintf(stderr, "server with fork server helpers did not stop "
+                           "within 30 s\n");
+      std::_Exit(1);
+    }
+  });
+  H.stopAndJoin();
+  H.Srv.reset(); // reaps the helpers
+  Stopped = true;
+  Watchdog.join();
+  EXPECT_EQ(Telem.Counters.counter("serve.isolate.spawns"), 2u);
 }
 
 /// Starts an idle 2-worker server, stops it and runs it to completion.

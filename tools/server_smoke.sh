@@ -5,8 +5,9 @@
 #
 # Phase 1: start validate_server in --chaos mode (deterministically
 #   SIGKILLs ~1/3 of first worker attempts) and, while a corpus batch is
-#   in flight, best-effort kill -9 any live worker children — the client
-#   must still see exactly one verdict-or-classified-failure per job.
+#   in flight, best-effort kill -9 the live job processes and, every other
+#   round, the fork server helpers that spawn them — the client must still
+#   see exactly one verdict-or-classified-failure per job.
 # Phase 2: SIGTERM the server; it must exit with the distinct graceful
 #   code (75) and leave a nonempty cache snapshot on disk.
 # Phase 3: restart the server on the same snapshot, run the same batch,
@@ -54,12 +55,18 @@ wait_for_socket() {
 SERVER_PID=$!
 wait_for_socket || fail "server did not come up"
 
-# Murder loop: children of the server are isolated per-job workers; killing
-# them mid-run is exactly the crash the retry machinery must absorb.
+# Murder loop: children of the server are its workers' fork server helpers,
+# and their children are the isolated per-job processes. Killing a job
+# process is a crashed attempt; killing a helper also loses its job and
+# forces a respawn. Both are crashes the retry machinery must absorb. The
+# loop does not nap: a job takes about a millisecond, so only a tight loop
+# lands kills while the batch runs.
 (
-  for _ in $(seq 1 40); do
-    pkill -9 -P "$SERVER_PID" 2>/dev/null
-    sleep 0.05
+  for I in $(seq 1 80); do
+    for HELPER in $(pgrep -P "$SERVER_PID"); do
+      pkill -9 -P "$HELPER" 2>/dev/null
+    done
+    [ $((I % 2)) -eq 0 ] && pkill -9 -P "$SERVER_PID" 2>/dev/null
   done
 ) &
 KILLER=$!
