@@ -12,11 +12,13 @@
 using namespace pseq;
 using namespace pseq::serve;
 
-bool VerdictCache::lookup(const memo::Fp128 &Key, std::string &Value) {
+bool VerdictCache::lookup(const memo::Fp128 &Key, std::string &Value,
+                          bool CountMiss) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Index.find(Key);
   if (It == Index.end()) {
-    ++Misses;
+    if (CountMiss)
+      ++Misses;
     return false;
   }
   Lru.splice(Lru.begin(), Lru, It->second); // refresh recency

@@ -42,7 +42,11 @@ public:
   explicit VerdictCache(uint64_t CapBytes) : Cap(CapBytes) {}
 
   /// \returns true and fills \p Value on a hit (refreshing recency).
-  bool lookup(const memo::Fp128 &Key, std::string &Value);
+  /// \p CountMiss false leaves a miss out of the stats, for a probe that a
+  /// counted lookup of the same key will repeat (the server's admission
+  /// probe, before the worker's).
+  bool lookup(const memo::Fp128 &Key, std::string &Value,
+              bool CountMiss = true);
 
   /// Inserts or refreshes \p Key, then evicts LRU entries past the cap.
   /// Values larger than the whole cap are ignored.

@@ -9,12 +9,14 @@
 #   round, the fork server helpers that spawn them — the client must still
 #   see exactly one verdict-or-classified-failure per job.
 # Phase 2: SIGTERM the server; it must exit with the distinct graceful
-#   code (75) and leave a nonempty cache snapshot on disk.
+#   code (75), leave a nonempty cache snapshot on disk, and leave no
+#   helper or spare child of its own behind.
 # Phase 3: restart the server on the same snapshot, run the same batch,
 #   write the --bench-out dump, and gate it with check_bench_baseline.py
 #   --group server: full coverage, zero failures, and a warm-cache hit
 #   rate at or above the BENCH_BASELINE.json floor.
-# Phase 4: stop the restarted server via the shutdown op (exit 0).
+# Phase 4: stop the restarted server via the shutdown op (exit 0), again
+#   leaving no process behind.
 set -u
 
 BUILD_DIR=${1:-build}
@@ -42,6 +44,19 @@ trap cleanup EXIT
 [ -x "$SERVER" ] || fail "$SERVER not built"
 [ -x "$CLIENT" ] || fail "$CLIENT not built"
 
+# Live processes of this run other than the server itself: its fork
+# server helpers and their children keep the server's command line, which
+# names this run's socket. Zombies are dead already and do not count.
+stray_processes() {
+  for P in $(pgrep -f -- "--socket $SOCK"); do
+    [ "$P" = "$SERVER_PID" ] && continue
+    case $(ps -o stat= -p "$P" 2>/dev/null) in
+    '' | Z*) continue ;;
+    esac
+    echo "$P"
+  done
+}
+
 wait_for_socket() {
   for _ in $(seq 1 100); do
     "$CLIENT" --socket "$SOCK" --ping >/dev/null 2>&1 && return 0
@@ -56,11 +71,13 @@ SERVER_PID=$!
 wait_for_socket || fail "server did not come up"
 
 # Murder loop: children of the server are its workers' fork server helpers,
-# and their children are the isolated per-job processes. Killing a job
-# process is a crashed attempt; killing a helper also loses its job and
-# forces a respawn. Both are crashes the retry machinery must absorb. The
-# loop does not nap: a job takes about a millisecond, so only a tight loop
-# lands kills while the batch runs.
+# and a helper's children are its in-flight job and its idle spare (the
+# next job's child, forked ahead of time). Killing a job is a crashed
+# attempt; killing a spare makes the next delivery find it dead and fork a
+# fresh one; killing a helper also loses its job and forces a respawn. All
+# three are failures the retry machinery must absorb. The loop does not
+# nap: a job takes under a millisecond, so only a tight loop lands kills
+# while the batch runs.
 (
   for I in $(seq 1 80); do
     for HELPER in $(pgrep -P "$SERVER_PID"); do
@@ -83,6 +100,8 @@ STATUS=$?
 [ "$STATUS" -eq 75 ] || fail "SIGTERM exit was $STATUS, expected 75"
 [ -s "$SNAP" ] || fail "no cache snapshot written at $SNAP"
 SERVER_PID=
+STRAYS=$(stray_processes)
+[ -z "$STRAYS" ] || fail "processes left after the SIGTERM drain:" $STRAYS
 echo "server_smoke: graceful drain OK (exit 75, snapshot $(wc -c <"$SNAP") bytes)"
 
 # --- Phase 3: warm restart, cached batch, bench gate -----------------------
@@ -104,5 +123,7 @@ wait "$SERVER_PID"
 STATUS=$?
 SERVER_PID=
 [ "$STATUS" -eq 0 ] || fail "shutdown-op exit was $STATUS, expected 0"
+STRAYS=$(stray_processes)
+[ -z "$STRAYS" ] || fail "processes left after the shutdown op:" $STRAYS
 
 echo "server_smoke: OK"
