@@ -122,7 +122,8 @@ inline memo::MemoContext *memoContext() { return detail::memoSlot(); }
 /// The validation method requested with --method (default Advanced).
 /// Benchmarks that validate transformations pass this into their
 /// PipelineOptions / validateTransform calls, so one binary measures any
-/// decision-procedure lane (`--method sym` selects the symbolic backend).
+/// decision-procedure lane (`--method simulation` selects the Fig. 6
+/// simulation).
 inline ValidationMethod validationMethod() { return detail::methodSlot(); }
 
 namespace detail {

@@ -16,14 +16,10 @@
 //                    src/litmus/RealWorld.h). The realworld run checks
 //                    every case's annotations and tallies the realworld.*
 //                    counters plus a litmus.realworld.states_per_sec gauge.
-//   --method NAME    validation method for the extra refinement sweep
-//                    (simple | advanced | simulation | symbolic). Today
-//                    only "symbolic" changes the output: with --corpus
-//                    realworld it runs the symbolic self-refinement sweep
-//                    over every protocol thread, differentially checked
-//                    against a budget-bounded enumerative lane, tallied as
-//                    litmus.sym.* counters. A typo lists the available
-//                    methods and exits 2.
+//                    It then runs the Fig. 6 self-simulation of every
+//                    protocol thread, differentially checked against a
+//                    budget-bounded ⊑w lane, tallied as litmus.sim.*
+//                    counters.
 //   --list           print every corpus with case counts and per-case
 //                    paper/source refs, then exit
 //   --threads N      parallelize exploration across N workers (0 = all
@@ -45,7 +41,7 @@
 //                    record holding every counter and gauge of the run —
 //                    states explored, memo hits/misses/pruned, the
 //                    promise-free skips (psna.promise_free_skips), the
-//                    litmus.lint.*, realworld.* and litmus.sym.* tallies —
+//                    litmus.lint.*, realworld.* and litmus.sim.* tallies —
 //                    which tools/check_bench_baseline.py gates against
 //                    BENCH_BASELINE.json.
 //   --trace-out PATH Chrome trace-event / Perfetto JSON built from the
@@ -72,11 +68,10 @@
 #include "obs/Telemetry.h"
 #include "obs/TraceExport.h"
 #include "obs/TraceSink.h"
-#include "opt/Validator.h"
 #include "psna/Explorer.h"
 #include "seq/AdvancedRefinement.h"
+#include "seq/Simulation.h"
 #include "support/CliArgs.h"
-#include "sym/SymEngine.h"
 
 #include "lang/Parser.h"
 #include "lang/Printer.h"
@@ -126,7 +121,7 @@ int usage(const char *Prog, const std::string &Err) {
   std::fprintf(stderr,
                "usage: %s [--threads N] [--deadline-ms N] [--mem-mb N] "
                "[--no-memo] [--no-lint] [--sweep N] [--corpus classic|"
-               "realworld] [--method NAME] [--trace PATH] "
+               "realworld] [--trace PATH] "
                "[--trace-out PATH] [file [promise-budget [split-budget]]]\n"
                "       %s [--threads N] --witness <corpus-case> <behavior>\n"
                "       %s --list\n",
@@ -200,7 +195,6 @@ int main(int Argc, char **Argv) {
   bool NoMemo = false;
   bool NoLint = false;
   std::string Corpus = "classic";
-  std::optional<ValidationMethod> Method;
   std::string TracePath, TraceOutPath;
   {
     std::vector<char *> Rest;
@@ -250,20 +244,6 @@ int main(int Argc, char **Argv) {
         Corpus = Value ? Value : "";
         if (Corpus != "classic" && Corpus != "realworld")
           return usageError(Prog, "--corpus (classic|realworld)", Value);
-        continue;
-      }
-      if (cli::flagValue(Argc, Argv, I, "--method", Value)) {
-        std::optional<ValidationMethod> M;
-        if (Value)
-          M = parseValidationMethodMaybe(Value);
-        if (!M) {
-          std::fprintf(stderr,
-                       "error: unknown validation method '%s'\n"
-                       "available methods: %s\n",
-                       Value ? Value : "", validationMethodList());
-          return 2;
-        }
-        Method = *M;
         continue;
       }
       if (A == "--list")
@@ -425,58 +405,50 @@ int main(int Argc, char **Argv) {
                static_cast<double>(C.counter("realworld.states")) * 1000.0 /
                    std::max(obs::msSince(T0), 1.0));
 
-    // --method symbolic: the symbolic self-refinement sweep over every
-    // protocol thread, differentially checked against a budget-bounded
-    // enumerative lane (unbounded, the enumerative oracle game runs for
-    // hours on these spin loops — which is the point of the backend). The
-    // litmus.sym.* counts are deterministic; a disagreement — symbolic Sound
-    // against a definite enumerative counterexample, or the reverse — is
-    // a soundness bug and fails the run.
-    if (Method == ValidationMethod::Symbolic) {
-      std::printf("\nsymbolic self-refinement sweep (protocol threads)\n");
-      for (const RealWorldCase &RC : realWorldCorpus()) {
-        if (RC.IsMutant)
-          continue;
-        std::unique_ptr<Program> P = parseOrDie(RC.Text);
-        for (unsigned Tid = 0; Tid != P->numThreads(); ++Tid) {
-          SeqConfig SCfg;
-          SCfg.Domain = RC.Domain;
-          SCfg.NumThreads = 1;
-          SCfg.Telem = WantTelem ? &Telem : nullptr;
-          SCfg.Memo = MemoPtr;
-          sym::SymOptions SOpts;
-          SOpts.ConfirmUnsound = false;
-          sym::SymResult S =
-              sym::checkSymRefinement(*P, Tid, *P, Tid, SCfg, SOpts);
-          SeqConfig ECfg = SCfg;
-          ECfg.StepBudget = 16;
-          ECfg.MaxBehaviors = 500;
-          guard::ResourceGuard EGuard;
-          EGuard.setDeadlineInMs(3000);
-          ECfg.Guard = &EGuard;
-          RefinementResult E = checkAdvancedRefinement(*P, Tid, *P, Tid, ECfg);
-          const bool Sound = S.Verdict == sym::SymVerdict::Sound;
-          const bool Unsound = S.Verdict == sym::SymVerdict::Unsound;
-          // Zero deltas too: every key reaches run.final on a clean sweep.
-          C.add("litmus.sym.checked");
-          C.add("litmus.sym.sound", Sound);
-          C.add("litmus.sym.unsound", Unsound);
-          C.add("litmus.sym.inconclusive", !Sound && !Unsound);
-          C.add("litmus.sym.decided_where_truncated",
-                (Sound || Unsound) && E.Bounded);
-          C.add("litmus.sym.disagreements",
-                !E.Bounded && ((Sound && !E.Holds) || (Unsound && E.Holds)));
-          std::printf("%-28s tid %u: %-12s nodes=%llu  (enumerative: %s%s)\n",
-                      RC.Name.c_str(), Tid, sym::symVerdictName(S.Verdict),
-                      static_cast<unsigned long long>(S.Nodes),
-                      E.Holds ? "holds" : "fails",
-                      E.Bounded ? ", truncated" : "");
-        }
+    // The Fig. 6 self-simulation of every protocol thread, differentially
+    // checked against a budget-bounded ⊑w lane (unbounded, the oracle game
+    // runs for hours on these spin loops). The litmus.sim.* counts are
+    // deterministic. A disagreement counts only where ⊑w is exhaustive: a
+    // deadline or budget can shrink `compared`, never fake a disagreement.
+    // Any disagreement is a soundness bug and fails the run.
+    std::printf("Fig. 6 self-simulation sweep (protocol threads)\n");
+    // Zero deltas too: every key reaches run.final on a clean sweep.
+    for (const char *Key : {"litmus.sim.checked", "litmus.sim.decided",
+                            "litmus.sim.compared", "litmus.sim.disagreements"})
+      C.add(Key, 0);
+    for (const RealWorldCase &RC : realWorldCorpus()) {
+      if (RC.IsMutant)
+        continue;
+      std::unique_ptr<Program> P = parseOrDie(RC.Text);
+      for (unsigned Tid = 0; Tid != P->numThreads(); ++Tid) {
+        SeqConfig SCfg;
+        SCfg.Domain = RC.Domain;
+        SCfg.NumThreads = 1;
+        SCfg.Telem = WantTelem ? &Telem : nullptr;
+        SCfg.Memo = MemoPtr;
+        SimulationResult S = checkSimulation(*P, Tid, *P, Tid, SCfg);
+        SeqConfig ECfg = SCfg;
+        ECfg.StepBudget = 16;
+        ECfg.MaxBehaviors = 500;
+        guard::ResourceGuard EGuard;
+        EGuard.setDeadlineInMs(3000);
+        ECfg.Guard = &EGuard;
+        RefinementResult E = checkAdvancedRefinement(*P, Tid, *P, Tid, ECfg);
+        C.add("litmus.sim.checked");
+        C.add("litmus.sim.decided", S.Complete);
+        C.add("litmus.sim.compared", S.Complete && !E.Bounded);
+        C.add("litmus.sim.disagreements",
+              S.Complete && !E.Bounded && S.Holds != E.Holds);
+        std::printf("%-28s tid %u: %-8s nodes=%u  (⊑w: %s%s)\n",
+                    RC.Name.c_str(), Tid,
+                    !S.Complete ? "bounded" : S.Holds ? "holds" : "fails",
+                    S.ProductNodes, E.Holds ? "holds" : "fails",
+                    E.Bounded ? ", truncated" : "");
       }
     }
     const bool Failed = C.counter("realworld.annotation_failures") ||
                         C.counter("realworld.truncated") ||
-                        C.counter("litmus.sym.disagreements");
+                        C.counter("litmus.sim.disagreements");
     return finish(Failed ? 1 : 0);
   }
 

@@ -11,8 +11,8 @@
 //   optimizer_pipeline [--method NAME] [file]
 //
 // --method selects the per-pass validation procedure (simple | advanced |
-// simulation | symbolic; default: the pipeline's, the Fig. 6 simulation);
-// a typo lists the available methods and exits 2.
+// simulation; default: the pipeline's, the Fig. 6 simulation); a typo
+// lists the available methods and exits 2.
 //
 //===----------------------------------------------------------------------===//
 

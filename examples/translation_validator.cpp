@@ -9,10 +9,11 @@
 //
 //   translation_validator [--method NAME] source.pseq target.pseq
 //
-// By default the file mode prints all three enumeration-based verdicts
-// plus the validator's; `--method NAME` (simple | advanced | simulation |
-// symbolic) runs the validator under that single decision procedure — a
-// typo lists the available methods and exits 2 instead of aborting.
+// By default the file mode prints all three verdicts (⊑, ⊑w and the
+// Fig. 6 simulation) plus the validator's; `--method NAME` (simple |
+// advanced | simulation) runs the validator under that single decision
+// procedure — a typo lists the available methods and exits 2 instead of
+// aborting.
 //
 // Without file arguments it runs the paper's example corpus and prints
 // the verdict table (DESIGN.md experiment E3/E4).

@@ -214,10 +214,12 @@ int checkPairInline(const RandomPair &Pair, const CampaignOptions &Opts,
   PsCfg.Telem = Telem;
   if (Seed) {
     // The seed case knows its own value domain and PS^na budgets. The
-    // SEQ lane instead gets the reduced enumeration bounds from
-    // tests/sym_test.cpp: the guard checkpoints only between initial
-    // states, so without them a single spin-loop initial state outlives
-    // any deadline.
+    // SEQ lane instead gets reduced enumeration bounds (16 steps, 500
+    // behaviors): at the default budgets the ⊑w oracle game on one
+    // spin-loop protocol thread runs for minutes, and the guard
+    // checkpoints only between initial states, so a single initial state
+    // would outlive any deadline. The same bounds keep litmus_explorer's
+    // RealWorld ⊑w lane tractable.
     PsConfig SeedCfg = realWorldPsConfig(*Seed);
     SeedCfg.NumThreads = PsCfg.NumThreads;
     SeedCfg.Guard = PsCfg.Guard;

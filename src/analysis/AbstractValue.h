@@ -17,16 +17,6 @@
 ///    ◦ (overwritten, no acquire on the way), • (an acquire but no pair),
 ///    ⊤.
 ///
-/// Plus the numeric abstract domains the symbolic refinement backend
-/// (src/sym) interprets SEQ register/memory cells over:
-///
-///  * Interval — [lo, hi] over int64 with an explicit ⊥; widening
-///    saturates unstable bounds to the INT64 extremes (never overflows).
-///  * Congruence — r (mod m): m = 0 is the single value r, m = 1 is ⊤;
-///    join is gcd-based, so join chains terminate without a widening.
-///  * AbsDom — the reduced product Interval × Congruence × may-undef,
-///    abstracting sets of SEQ `Value`s (defined int64s and/or undef).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSEQ_ANALYSIS_ABSTRACTVALUE_H
@@ -103,143 +93,6 @@ const char *dseTokenName(DseToken T);
 /// True when evaluating \p E can invoke UB (division/modulo); such
 /// expressions must not be erased by DSE.
 bool exprMayFault(const Expr *E);
-
-namespace analysis {
-
-/// A (possibly empty) interval of int64 values. The empty interval is the
-/// canonical ⊥ (Lo > Hi is never materialized); [INT64_MIN, INT64_MAX] is
-/// ⊤. Arithmetic transfer functions compute in 128 bits and clamp to the
-/// representable range, so they over-approximate but never wrap.
-class Interval {
-  int64_t Lo = 0, Hi = -1; // empty by default (canonical ⊥)
-  bool IsEmpty = true;
-
-public:
-  Interval() = default;
-
-  static Interval empty() { return Interval(); }
-  static Interval full();
-  static Interval of(int64_t V) { return range(V, V); }
-  static Interval range(int64_t Lo, int64_t Hi);
-
-  bool isEmpty() const { return IsEmpty; }
-  bool isFull() const;
-  bool isSingleton() const { return !IsEmpty && Lo == Hi; }
-  int64_t lo() const;
-  int64_t hi() const;
-  bool contains(int64_t V) const { return !IsEmpty && Lo <= V && V <= Hi; }
-  bool isSubsetOf(const Interval &O) const;
-
-  Interval join(const Interval &O) const;
-  Interval meet(const Interval &O) const;
-  /// Standard interval widening with saturation: a bound of \p Next that
-  /// escapes *this jumps straight to the INT64 extreme. Stable at ⊤ after
-  /// at most two applications; never overflows at the INT64 bounds.
-  Interval widen(const Interval &Next) const;
-
-  bool operator==(const Interval &O) const;
-  std::string str() const;
-};
-
-/// A congruence class r (mod m): the set { r + k·m | k ∈ ℤ }. m = 0
-/// denotes the single value r; m = 1 denotes ⊤ (every integer). An
-/// explicit ⊥ completes the lattice. Canonical form keeps 0 ≤ r < m for
-/// m > 0. The join is gcd-based — gcd chains strictly divide, so joins
-/// reach a fixpoint in at most 64 steps and double as the widening.
-class Congruence {
-  uint64_t Mod = 0;
-  int64_t Rem = 0;
-  bool IsEmpty = true;
-
-public:
-  Congruence() = default;
-
-  static Congruence empty() { return Congruence(); }
-  static Congruence top() { return modRem(1, 0); }
-  static Congruence of(int64_t V) { return modRem(0, V); }
-  static Congruence modRem(uint64_t M, int64_t R);
-
-  bool isEmpty() const { return IsEmpty; }
-  bool isTop() const { return !IsEmpty && Mod == 1; }
-  bool isSingleton() const { return !IsEmpty && Mod == 0; }
-  uint64_t mod() const;
-  int64_t rem() const;
-  bool contains(int64_t V) const;
-
-  Congruence join(const Congruence &O) const;
-  /// Over-approximate meet: exact when one side is a singleton or ⊤;
-  /// otherwise the finer congruence that contains the intersection.
-  Congruence meet(const Congruence &O) const;
-
-  bool operator==(const Congruence &O) const;
-  std::string str() const;
-};
-
-/// The reduced product the symbolic backend abstracts one SEQ value cell
-/// with: an Interval and a Congruence over the defined values, plus a
-/// may-undef bit. ⊥ = no defined value and no undef; ⊤ = every defined
-/// value or undef. Reduction keeps the two numeric components consistent:
-/// when either is empty, both are.
-class AbsDom {
-  Interval Itv;       // empty by default
-  Congruence Cng;     // empty by default
-  bool Undef = false; // may the cell hold undef?
-
-  void reduce();
-
-public:
-  AbsDom() = default; // ⊥
-
-  static AbsDom bottom() { return AbsDom(); }
-  static AbsDom top();
-  static AbsDom undef();
-  static AbsDom ofConst(int64_t V);
-  static AbsDom make(Interval I, Congruence C, bool MayUndef);
-  /// All defined values in [Lo, Hi] (congruence ⊤), optionally undef too.
-  static AbsDom range(int64_t Lo, int64_t Hi, bool MayUndef = false);
-
-  const Interval &itv() const { return Itv; }
-  const Congruence &cng() const { return Cng; }
-  bool mayUndef() const { return Undef; }
-  bool mayDefined() const { return !Itv.isEmpty(); }
-  bool isBottom() const { return !Undef && Itv.isEmpty(); }
-  bool isDefinitelyUndef() const { return Undef && Itv.isEmpty(); }
-  /// The single defined value, when the cell is exactly one non-undef
-  /// int64.
-  bool isSingleton() const {
-    return !Undef && Itv.isSingleton() && !Cng.isEmpty();
-  }
-  int64_t singleton() const;
-  bool containsInt(int64_t V) const {
-    return Itv.contains(V) && Cng.contains(V);
-  }
-
-  AbsDom join(const AbsDom &O) const;
-  AbsDom meet(const AbsDom &O) const;
-  AbsDom widen(const AbsDom &Next) const;
-  bool isSubsetOf(const AbsDom &O) const;
-
-  /// Branch-condition classification: definitely nonzero-and-defined /
-  /// definitely zero. Both false when the cell straddles.
-  bool definitelyTruthy() const {
-    return !Undef && !Itv.isEmpty() && !containsInt(0);
-  }
-  bool definitelyFalsy() const {
-    return !Undef && Itv.isSingleton() && Itv.lo() == 0;
-  }
-
-  bool operator==(const AbsDom &O) const;
-  std::string str() const;
-};
-
-/// Abstract transfer of lang's operators over AbsDom, mirroring
-/// Expr::eval's undef and UB semantics exactly: undef operands make the
-/// result may-undef (except ÷/mod, whose undef-or-zero divisors are UB,
-/// reported via \p MayUB rather than folded into the value).
-AbsDom absUnOp(UnOp Op, const AbsDom &A);
-AbsDom absBinOp(BinOp Op, const AbsDom &L, const AbsDom &R, bool &MayUB);
-
-} // namespace analysis
 
 } // namespace pseq
 

@@ -32,9 +32,6 @@
 ///                    whose values are plain `std::string` by convention,
 ///                    which is what makes it snapshottable to disk
 ///                    (memo/Snapshot.h) and warm across server restarts.
-///  * SymVerdicts   — symbolic-backend SymResult values, keyed by
-///                    (source/target program fps, tids, domain, universe,
-///                    budgets, solver name, config salt); see sym/SymEngine.h.
 ///
 /// Every key-building function mixes in its config's `ConfigSalt`, which
 /// consumers (the optimizer pipeline, the atlas) derive from the active
@@ -76,8 +73,7 @@ public:
   };
 
   enum class Table : unsigned { SeqSuffix = 0, PsBehaviors = 1,
-                                AtlasVerdicts = 2, ServeVerdicts = 3,
-                                SymVerdicts = 4 };
+                                AtlasVerdicts = 2, ServeVerdicts = 3 };
 
   MemoContext() : MemoContext(Options()) {}
   explicit MemoContext(const Options &Opts);
@@ -153,7 +149,7 @@ public:
   uint64_t pruned() const { return Pruned.load(std::memory_order_relaxed); }
 
 private:
-  static constexpr unsigned NumTables = 5;
+  static constexpr unsigned NumTables = 4;
   static constexpr unsigned ShardsPerTable = 16;
 
   struct Shard {

@@ -12,7 +12,6 @@
 #include "obs/Telemetry.h"
 #include "psna/Refinement.h"
 #include "seq/SimpleRefinement.h"
-#include "sym/SymEngine.h"
 
 #include <cassert>
 #include <chrono>
@@ -102,31 +101,6 @@ ValidationResult pseq::validateTransform(const Program &Src,
                         : TruncationCause::StateBudget;
       Rec.Cex = R.Counterexample;
       Rec.States = R.ProductNodes;
-      break;
-    }
-    case ValidationMethod::Symbolic: {
-      sym::SymResult R = sym::checkSymRefinement(Src, T, Tgt, T, UseCfg);
-      switch (R.Verdict) {
-      case sym::SymVerdict::Sound:
-        Rec.Holds = true;
-        break;
-      case sym::SymVerdict::Unsound:
-        // Only reported with an enumerative-lane counterexample attached
-        // (SymOptions::ConfirmUnsound, on by default here).
-        Rec.Holds = false;
-        Rec.Cex = R.Witness;
-        break;
-      case sym::SymVerdict::Inconclusive:
-        // No verdict, never a spurious failure. Cause stays None for pure
-        // imprecision (no budget was hit; the abstraction just could not
-        // close), which the bounded report prints as "none".
-        Rec.Holds = true;
-        Rec.Bounded = true;
-        Rec.Cause = R.Cause;
-        Rec.Cex = "symbolic lane inconclusive: " + R.Witness;
-        break;
-      }
-      Rec.States = R.Nodes + R.ConfirmStates;
       break;
     }
     case ValidationMethod::Psna:

@@ -34,13 +34,6 @@ enum class ValidationMethod {
   /// Fig. 6 coinductive simulation — exact on loops; the pipeline's
   /// default (PipelineOptions::Method)
   Simulation,
-  /// Symbolic ⊑w via path-merging abstract interpretation (src/sym):
-  /// decides spin-loop threads the enumerative procedures truncate on.
-  /// Sound verdicts are exhaustive; negatives are confirmed by the
-  /// enumerative lane before being reported, and an unconfirmable
-  /// negative surfaces as Ok-but-bounded (inconclusive), never as a
-  /// spurious rejection.
-  Symbolic,
   /// Whole-program Def 5.3 outcome inclusion in PS^na, for the passes the
   /// per-thread SEQ procedures cannot certify: register promotion changes
   /// the silent/observable split of a thread (stores vanish from memory)
@@ -60,8 +53,6 @@ constexpr const char *validationMethodName(ValidationMethod M) {
     return "advanced";
   case ValidationMethod::Simulation:
     return "simulation";
-  case ValidationMethod::Symbolic:
-    return "symbolic";
   case ValidationMethod::Psna:
     return "psna";
   }
@@ -72,16 +63,15 @@ constexpr const char *validationMethodName(ValidationMethod M) {
 /// Psna is pipeline-internal (validatePsTransform picks it by pass kind),
 /// so it is deliberately absent.
 constexpr const char *validationMethodList() {
-  return "simple, advanced, simulation, symbolic (alias: sym)";
+  return "simple, advanced, simulation";
 }
 
-/// Parses a CLI `--method` value: the validationMethodName tokens plus
-/// the "sym" alias. Returns std::nullopt on anything else — including
-/// "psna" — so callers can print a usage line listing
-/// validationMethodList() and exit nonzero instead of silently
-/// defaulting or aborting. Shared by the example and bench binaries and
-/// the serve protocol's job decoder, so a typo gets the same non-fatal
-/// diagnosis everywhere.
+/// Parses a CLI `--method` value: the validationMethodName tokens.
+/// Returns std::nullopt on anything else — including "psna" — so
+/// callers can print a usage line listing validationMethodList() and
+/// exit nonzero instead of silently defaulting or aborting. Shared by the
+/// example and bench binaries and the serve protocol's job decoder, so a
+/// typo gets the same non-fatal diagnosis everywhere.
 inline std::optional<ValidationMethod>
 parseValidationMethodMaybe(const std::string &Name) {
   if (Name == "simple")
@@ -90,8 +80,6 @@ parseValidationMethodMaybe(const std::string &Name) {
     return ValidationMethod::Advanced;
   if (Name == "simulation")
     return ValidationMethod::Simulation;
-  if (Name == "symbolic" || Name == "sym")
-    return ValidationMethod::Symbolic;
   return std::nullopt;
 }
 

@@ -22,14 +22,11 @@
 #include "TestUtil.h"
 
 #include "adequacy/RandomProgram.h"
-#include "analysis/AbstractValue.h"
 #include "analysis/RaceLint.h"
 #include "litmus/Corpus.h"
 #include "psna/Explorer.h"
 #include "support/Rng.h"
 
-#include <algorithm>
-#include <limits>
 #include <map>
 
 using namespace pseq;
@@ -420,201 +417,6 @@ TEST(RaceLint, TelemetryCountersFlow) {
   EXPECT_EQ(Telem.Counters.counter("analysis.soundness_violation"), 0u);
   EXPECT_EQ(Telem.Counters.counter("psna.explore.race_steps"), 0u);
   EXPECT_EQ(Telem.Counters.counter("psna.na_markers"), 0u);
-}
-
-// --- Numeric abstract domains (Interval / Congruence / AbsDom) --------------
-//
-// Property tests for the symbolic backend's domains: widening behavior at
-// the INT64 bounds, the zero-modulus (singleton) congruence cases, and the
-// lattice absorption laws, swept over seeded random elements.
-
-namespace {
-
-using analysis::AbsDom;
-using analysis::Congruence;
-using analysis::Interval;
-
-constexpr int64_t I64Min = std::numeric_limits<int64_t>::min();
-constexpr int64_t I64Max = std::numeric_limits<int64_t>::max();
-
-/// A random interval biased toward the interesting boundary values.
-Interval randomInterval(Rng &R) {
-  auto pick = [&R]() -> int64_t {
-    switch (R.below(6)) {
-    case 0:
-      return I64Min;
-    case 1:
-      return I64Max;
-    case 2:
-      return 0;
-    case 3:
-      return static_cast<int64_t>(R.below(7)) - 3;
-    default:
-      return static_cast<int64_t>(R.next());
-    }
-  };
-  if (R.below(8) == 0)
-    return Interval::empty();
-  int64_t A = pick(), B = pick();
-  return Interval::range(std::min(A, B), std::max(A, B));
-}
-
-Congruence randomCongruence(Rng &R) {
-  switch (R.below(8)) {
-  case 0:
-    return Congruence::empty();
-  case 1:
-    return Congruence::top();
-  case 2:
-  case 3:
-    return Congruence::of(static_cast<int64_t>(R.next())); // zero modulus
-  default:
-    return Congruence::modRem(1 + R.below(1000),
-                              static_cast<int64_t>(R.next()));
-  }
-}
-
-AbsDom randomAbsDom(Rng &R) {
-  return AbsDom::make(randomInterval(R), randomCongruence(R),
-                      R.below(3) == 0);
-}
-
-} // namespace
-
-TEST(AbsDomains, IntervalWideningSaturatesAtInt64Bounds) {
-  // An unstable bound must jump to the extreme — and never wrap.
-  Interval A = Interval::range(I64Min + 1, I64Max - 1);
-  Interval Grow = Interval::range(I64Min, I64Max);
-  Interval W = A.widen(Grow);
-  EXPECT_TRUE(W.isFull());
-
-  // Widening something already at the extremes is a fixpoint.
-  EXPECT_EQ(W.widen(Grow), W);
-  EXPECT_EQ(Interval::full().widen(Interval::of(42)), Interval::full());
-
-  // Stable bounds are kept exactly, including extreme stable bounds.
-  Interval Pin = Interval::range(I64Min, 5);
-  EXPECT_EQ(Pin.widen(Interval::range(I64Min, 3)), Pin);
-  EXPECT_EQ(Pin.widen(Interval::range(I64Min + 7, 9)),
-            Interval::range(I64Min, I64Max));
-
-  // Property: widen covers the join, and a second application with the
-  // same operand is stable (the chain has length ≤ 2 per bound).
-  Rng R(0xABCD0001);
-  for (unsigned I = 0; I != 500; ++I) {
-    Interval X = randomInterval(R), Y = randomInterval(R);
-    Interval W1 = X.widen(Y);
-    EXPECT_TRUE(X.join(Y).isSubsetOf(W1)) << X.str() << " ∇ " << Y.str();
-    EXPECT_EQ(W1.widen(Y), W1) << X.str() << " ∇ " << Y.str();
-  }
-}
-
-TEST(AbsDomains, CongruenceJoinWithZeroModulus) {
-  // Zero modulus is a singleton; joining two singletons yields the
-  // |difference| class containing both.
-  Congruence A = Congruence::of(3), B = Congruence::of(7);
-  Congruence J = A.join(B);
-  EXPECT_EQ(J, Congruence::modRem(4, 3));
-  EXPECT_TRUE(J.contains(3));
-  EXPECT_TRUE(J.contains(7));
-
-  // Equal singletons stay a singleton (gcd(0,0) with equal residues).
-  EXPECT_EQ(Congruence::of(5).join(Congruence::of(5)), Congruence::of(5));
-
-  // Singleton vs a proper class folds the residue difference into the
-  // modulus via gcd.
-  EXPECT_EQ(Congruence::of(5).join(Congruence::modRem(6, 1)),
-            Congruence::modRem(2, 1));
-
-  // Far-apart singletons whose difference exceeds INT64_MAX go to top
-  // rather than materializing an unrepresentable modulus.
-  EXPECT_TRUE(Congruence::of(I64Min).join(Congruence::of(I64Max)).isTop());
-
-  // Property: the join contains both operands, is commutative, and a
-  // re-join is a fixpoint (gcd chains strictly divide).
-  Rng R(0xABCD0002);
-  for (unsigned I = 0; I != 500; ++I) {
-    Congruence X = randomCongruence(R), Y = randomCongruence(R);
-    Congruence J2 = X.join(Y);
-    EXPECT_EQ(J2, Y.join(X)) << X.str() << " ⊔ " << Y.str();
-    EXPECT_EQ(J2.join(X), J2) << X.str() << " ⊔ " << Y.str();
-    if (!X.isEmpty() && X.mod() == 0) {
-      EXPECT_TRUE(J2.contains(X.rem())) << X.str() << " ⊔ " << Y.str();
-    }
-    if (!Y.isEmpty() && Y.mod() == 0) {
-      EXPECT_TRUE(J2.contains(Y.rem())) << X.str() << " ⊔ " << Y.str();
-    }
-  }
-}
-
-TEST(AbsDomains, TopBottomAbsorptionLaws) {
-  Rng R(0xABCD0003);
-  for (unsigned I = 0; I != 500; ++I) {
-    // Interval: ⊥ ⊔ x = x, ⊤ ⊔ x = ⊤, ⊥ ⊓ x = ⊥, ⊤ ⊓ x = x.
-    Interval X = randomInterval(R);
-    EXPECT_EQ(Interval::empty().join(X), X);
-    EXPECT_EQ(Interval::full().join(X), Interval::full());
-    EXPECT_TRUE(Interval::empty().meet(X).isEmpty());
-    EXPECT_EQ(Interval::full().meet(X), X);
-    // x ⊔ x = x ⊓ x = x (idempotence).
-    EXPECT_EQ(X.join(X), X);
-    EXPECT_EQ(X.meet(X), X);
-
-    Congruence C = randomCongruence(R);
-    EXPECT_EQ(Congruence::empty().join(C), C);
-    EXPECT_TRUE(Congruence::top().join(C).isTop() || C.isEmpty());
-    EXPECT_TRUE(Congruence::empty().meet(C).isEmpty());
-    EXPECT_EQ(Congruence::top().meet(C), C);
-    EXPECT_EQ(C.join(C), C);
-    EXPECT_EQ(C.meet(C), C);
-
-    AbsDom D = randomAbsDom(R);
-    EXPECT_EQ(AbsDom::bottom().join(D), D);
-    EXPECT_EQ(AbsDom::top().join(D), AbsDom::top());
-    EXPECT_TRUE(AbsDom::bottom().meet(D).isBottom());
-    EXPECT_EQ(AbsDom::top().meet(D), D);
-    EXPECT_EQ(D.join(D), D);
-    // AbsDom meet is over-approximate (congruence component), so only
-    // containment is guaranteed: x ⊑ x ⊓ x's over-approximation.
-    EXPECT_TRUE(D.isSubsetOf(D.meet(D)));
-    // Widening covers the join and absorbs ⊥ on either side.
-    AbsDom E = randomAbsDom(R);
-    EXPECT_TRUE(D.join(E).isSubsetOf(D.widen(E)));
-    EXPECT_EQ(AbsDom::bottom().widen(D), D);
-  }
-}
-
-TEST(AbsDomains, TransferFunctionsSoundOnSamples) {
-  // Concrete soundness spot-check: for sampled concrete operand pairs
-  // inside sampled abstract operands, the abstract result contains the
-  // concrete result (and UB implies MayUB).
-  Rng R(0xABCD0004);
-  const BinOp Ops[] = {BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div,
-                       BinOp::Mod, BinOp::Eq,  BinOp::Ne,  BinOp::Lt,
-                       BinOp::Le,  BinOp::Gt,  BinOp::Ge,  BinOp::And,
-                       BinOp::Or};
-  for (unsigned I = 0; I != 2000; ++I) {
-    int64_t A = static_cast<int64_t>(R.below(21)) - 10;
-    int64_t B = static_cast<int64_t>(R.below(21)) - 10;
-    int64_t Lo1 = std::min(A, static_cast<int64_t>(R.below(21)) - 10);
-    int64_t Lo2 = std::min(B, static_cast<int64_t>(R.below(21)) - 10);
-    AbsDom DA = AbsDom::range(Lo1, std::max(A, Lo1 + 4), R.below(4) == 0);
-    AbsDom DB = AbsDom::range(Lo2, std::max(B, Lo2 + 4), R.below(4) == 0);
-    ASSERT_TRUE(DA.containsInt(A));
-    ASSERT_TRUE(DB.containsInt(B));
-    BinOp Op = Ops[R.below(sizeof(Ops) / sizeof(Ops[0]))];
-    bool MayUB = false;
-    AbsDom DR = analysis::absBinOp(Op, DA, DB, MayUB);
-    bool UB = false;
-    int64_t V = applyBinOp(Op, A, B, UB);
-    if (UB)
-      EXPECT_TRUE(MayUB) << "op " << static_cast<int>(Op) << " " << A
-                         << "," << B;
-    else
-      EXPECT_TRUE(DR.containsInt(V))
-          << "op " << static_cast<int>(Op) << " " << A << "," << B
-          << " -> " << V << " not in " << DR.str();
-  }
 }
 
 // --- Golden snapshots -------------------------------------------------------

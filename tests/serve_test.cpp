@@ -306,12 +306,21 @@ TEST(ProtocolTest, MalformedRequestsAreInvalidNotDefaulted) {
     EXPECT_EQ(R.Op, serve::RequestOp::Invalid) << "payload: " << P;
     EXPECT_FALSE(R.ParseErr.empty()) << "payload: " << P;
   }
+  // "symbolic" and "sym" name no method: the job is rejected, not
+  // defaulted.
+  for (const char *Name : {"symbolic", "sym"}) {
+    serve::Request R = serve::parseRequest(
+        std::string("{\"op\":\"job\",\"id\":1,\"source\":\"x\","
+                    "\"method\":\"") +
+        Name + "\"}");
+    EXPECT_EQ(R.Op, serve::RequestOp::Invalid) << Name;
+    EXPECT_EQ(R.ParseErr, "unknown validation method") << Name;
+  }
 }
 
 TEST(ProtocolTest, JobMethodsParseLikeTheMethodFlag) {
   // A job names its method with the tokens a `--method` flag accepts.
-  for (const char *Name :
-       {"simple", "advanced", "simulation", "symbolic", "sym"}) {
+  for (const char *Name : {"simple", "advanced", "simulation"}) {
     serve::Request R = serve::parseRequest(
         std::string("{\"op\":\"job\",\"id\":1,\"source\":\"x\","
                     "\"method\":\"") +

@@ -23,7 +23,6 @@
 #include "psna/Explorer.h"
 #include "seq/BehaviorEnum.h"
 #include "serve/Server.h"
-#include "sym/SymEngine.h"
 
 #include "gtest/gtest.h"
 
@@ -166,24 +165,6 @@ std::set<std::string> runtimeKeys() {
     RealWorldCase Starved = realWorldCaseByName("rw-rcu");
     Starved.Budgets.MaxStates = 4;
     runRealWorldCase(Starved, RO);
-  }
-
-  // The symbolic refinement backend (sym.*, the sym.check span). A
-  // spin-loop self-pair fires the Sound path with joins and widenings; a
-  // rerun under the memo context fires sym.memo.hits; a returns-differ
-  // pair walks the confirm path to a confirmed Unsound.
-  {
-    std::unique_ptr<Program> Spin = parseOrDie(
-        "atomic f;\n"
-        "thread { a := f@acq; while (a != 1) { a := f@acq; } return 0; }");
-    SeqConfig Cfg;
-    Cfg.Telem = &Telem;
-    Cfg.Memo = &Memo;
-    sym::checkSymRefinement(*Spin, 0, *Spin, 0, Cfg);
-    sym::checkSymRefinement(*Spin, 0, *Spin, 0, Cfg);
-    std::unique_ptr<Program> Zero = parseOrDie("na x;\nthread { return 0; }");
-    std::unique_ptr<Program> One = parseOrDie("na x;\nthread { return 1; }");
-    sym::checkSymRefinement(*Zero, 0, *One, 0, Cfg);
   }
 
   // The validation server's stats vocabulary (serve.*). A bare Server's

@@ -318,7 +318,7 @@ TEST(TraceDeterminismTest, ValidatorSpansThreadInvariant) {
                  "thread { b := y@acq; return b; }\n");
   for (ValidationMethod M :
        {ValidationMethod::Simple, ValidationMethod::Advanced,
-        ValidationMethod::Simulation, ValidationMethod::Symbolic})
+        ValidationMethod::Simulation})
     expectSpansThreadInvariant(
         validationMethodName(M), [&](unsigned N, obs::Telemetry *Telem) {
           SeqConfig Cfg;
