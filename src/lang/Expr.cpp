@@ -125,7 +125,7 @@ int64_t pseq::applyBinOp(BinOp Op, int64_t L, int64_t R, bool &UB) {
   return 0;
 }
 
-EvalResult Expr::eval(const std::vector<Value> &Regs) const {
+EvalResult Expr::eval(std::span<const Value> Regs) const {
   switch (K) {
   case Kind::Const:
     return EvalResult::ok(ConstVal);

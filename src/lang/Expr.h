@@ -20,6 +20,7 @@
 #include "lang/Value.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pseq {
@@ -86,7 +87,7 @@ public:
   const Expr *rhs() const;
 
   /// Evaluates over the register file \p Regs (indexed by register id).
-  EvalResult eval(const std::vector<Value> &Regs) const;
+  EvalResult eval(std::span<const Value> Regs) const;
 
   /// Adds every register read by this expression to \p Used.
   void collectRegs(std::vector<bool> &Used) const;

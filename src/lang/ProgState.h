@@ -22,6 +22,7 @@
 #define PSEQ_LANG_PROGSTATE_H
 
 #include "lang/Program.h"
+#include "support/NodePool.h"
 
 #include <cstdint>
 
@@ -59,7 +60,7 @@ public:
 
 private:
   unsigned Pc = 0;
-  std::vector<Value> Regs;
+  PoolVector<Value> Regs;
   Status St = Status::Running;
   Value RetVal;
 
@@ -73,7 +74,7 @@ public:
   bool isDone() const { return St == Status::Done; }
   Value retVal() const;
   unsigned pc() const { return Pc; }
-  const std::vector<Value> &regs() const { return Regs; }
+  const PoolVector<Value> &regs() const { return Regs; }
 
   /// Computes the next action; only valid on Running states.
   Pending pending(const Program &P, unsigned Tid) const;

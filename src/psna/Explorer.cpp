@@ -216,9 +216,9 @@ struct WorkItem {
 /// thread-expansions the sleep set suppressed.
 struct PsExpansion {
   std::optional<PsBehavior> Final;
-  std::vector<PsMachineState> Succs;
-  std::vector<uint32_t> SuccSleep;
-  std::vector<uint32_t> PerThread;
+  PsStates Succs;
+  PoolVector<uint32_t> SuccSleep;
+  PoolVector<uint32_t> PerThread;
   uint32_t PrunedSkips = 0;
   /// Machine-counter deltas for this expansion (racy transitions enabled,
   /// NAMsg markers emitted), merged by the explorer in pop order so the
@@ -242,7 +242,7 @@ void expandState(const Program &P, const PsMachine &M, const PruneInfo &PI,
   unsigned NT = S.numThreads();
   E.PerThread.assign(NT, 0);
   uint64_t RaceBase = M.raceSteps(), MarkerBase = M.naMarkers();
-  std::vector<memo::Footprint> Fp;
+  PoolVector<memo::Footprint> Fp;
   if (PI.On) {
     Fp.resize(NT);
     for (unsigned T = 0; T != NT; ++T)
@@ -254,7 +254,7 @@ void expandState(const Program &P, const PsMachine &M, const PruneInfo &PI,
       ++E.PrunedSkips;
       continue;
     }
-    std::vector<PsMachineState> Succ = M.threadSuccessors(S, Tid);
+    PsStates Succ = M.threadSuccessors(S, Tid);
     E.PerThread[Tid] = static_cast<uint32_t>(Succ.size());
     uint32_t ChildSleep = 0;
     if (PI.On) {
@@ -328,7 +328,7 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
     M->setCertTable(&Certs);
   PsBehaviorSet Result;
   PruneInfo PI = makePruneInfo(P, Cfg);
-  std::unordered_set<PsMachineState, PsStateHash> Visited;
+  PsStateSet Visited;
   // Sized for a small exploration: the shards grow as needed, and zeroing
   // a table sized for a large one would cost more than most runs.
   memo::VisitedSet PrunedVisited(PI.On ? 1024 : 64);
@@ -659,7 +659,7 @@ std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
   // BFS with parent indices so the path can be reconstructed.
   std::vector<PsMachineState> States;
   std::vector<unsigned> Parent;
-  std::unordered_set<PsMachineState, PsStateHash> Visited;
+  PsStateSet Visited;
   std::deque<unsigned> Work;
 
   PsMachineState Init = M.initialState();
@@ -701,7 +701,7 @@ std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
     }
     unsigned NumThreads = States[Idx].numThreads();
     for (unsigned Tid = 0; Tid != NumThreads; ++Tid) {
-      std::vector<PsMachineState> Succ = M.threadSuccessors(States[Idx], Tid);
+      PsStates Succ = M.threadSuccessors(States[Idx], Tid);
       mergeCertVerdicts(Certs, M.takeCertVerdicts(), Cfg.Guard);
       for (PsMachineState &Next : Succ) {
         if (!Visited.insert(Next).second)

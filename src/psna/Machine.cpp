@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace pseq;
 
@@ -20,11 +19,15 @@ using namespace pseq;
 // PsMachineState
 //===----------------------------------------------------------------------===
 
+PsMachineState::ThreadPtr PsMachineState::makeThread(PsThread T) {
+  uint64_t H = T.hash();
+  return std::allocate_shared<const SharedThread>(
+      PoolAllocator<SharedThread>(), SharedThread{std::move(T), H});
+}
+
 void PsMachineState::setThread(unsigned Tid, PsThread T) {
   assert(Tid <= Threads.size() && "thread out of range");
-  uint64_t H = T.hash();
-  auto Shared = std::make_shared<const SharedThread>(
-      SharedThread{std::move(T), H});
+  ThreadPtr Shared = makeThread(std::move(T));
   if (Tid == Threads.size())
     Threads.push_back(std::move(Shared));
   else
@@ -34,7 +37,7 @@ void PsMachineState::setThread(unsigned Tid, PsThread T) {
 bool PsMachineState::allDone() const {
   if (Bottom)
     return false;
-  for (const std::shared_ptr<const SharedThread> &T : Threads)
+  for (const ThreadPtr &T : Threads)
     if (!T->T.Prog.isDone())
       return false;
   return true;
@@ -57,7 +60,7 @@ uint64_t PsMachineState::hash() const {
   H = hashCombine(H, Outs.size());
   for (Value V : Outs)
     H = hashCombine(H, V.hash());
-  for (const std::shared_ptr<const SharedThread> &T : Threads)
+  for (const ThreadPtr &T : Threads)
     H = hashCombine(H, T->Hash);
   H = hashCombine(H, Mem.hash());
   return H;
@@ -126,14 +129,14 @@ void PsMachineState::rerank(unsigned Loc) {
   // message list sorted and disjoint and every promise list sorted. A list
   // or thread is rewritten only when one of its entries at Loc moves.
   for (unsigned L = 0, E = Mem.numLocs(); L != E; ++L) {
-    const std::vector<PsMessage> &Ms = Mem.msgs(L);
+    const MsgVec &Ms = Mem.msgs(L);
     bool Dirty = false;
     for (const PsMessage &M : Ms)
       Dirty |= (L == Loc && (moves(M.From) || moves(M.To))) ||
                viewMoves(M.MView);
     if (!Dirty)
       continue;
-    Mem.update(L, [&](std::vector<PsMessage> &Ms) {
+    Mem.update(L, [&](MsgVec &Ms) {
       for (PsMessage &M : Ms) {
         if (L == Loc) {
           M.From = rank(M.From);
@@ -170,9 +173,7 @@ PsMachineState PsMachineState::project(unsigned Tid) const {
   R.Mem = Mem;
   PsThread Blank;
   Blank.V = View::zero(Mem.numLocs());
-  uint64_t H = Blank.hash();
-  R.Threads.assign(Threads.size(), std::make_shared<const SharedThread>(
-                                       SharedThread{std::move(Blank), H}));
+  R.Threads.assign(Threads.size(), makeThread(std::move(Blank)));
   R.Threads[Tid] = Threads[Tid];
   return R;
 }
@@ -186,7 +187,7 @@ PsMachine::PsMachine(const Program &Prog, PsConfig Cfg)
   // Promises are only useful for locations a thread can later write.
   for (unsigned T = 0, E = Prog.numThreads(); T != E; ++T) {
     AccessSummary Sum = Prog.accessSummary(T);
-    Writable.push_back(Sum.NaWritten.unionWith(Sum.AtomicAccessed));
+    Writable.push_back(Sum.NaWritten.unionWith(Sum.AtomicAccessed).members());
   }
   for (int64_t V : Cfg.Domain.values())
     ReadVals.push_back(Value::of(V));
@@ -246,7 +247,7 @@ PsMachineState withThread(const PsMachineState &S, unsigned Tid, PsThread T) {
 } // namespace
 
 void PsMachine::stepFail(const PsMachineState &S, unsigned Tid,
-                         std::vector<PsMachineState> &Out) const {
+                         PsStates &Out) const {
   if (!canFail(S.thread(Tid)))
     return;
   PsThread NT = S.thread(Tid);
@@ -257,8 +258,7 @@ void PsMachine::stepFail(const PsMachineState &S, unsigned Tid,
 }
 
 void PsMachine::stepRead(const PsMachineState &S, unsigned Tid,
-                         const ProgState::Pending &Pend,
-                         std::vector<PsMachineState> &Out,
+                         const ProgState::Pending &Pend, PsStates &Out,
                          bool ForCertification) const {
   const PsThread &T = S.thread(Tid);
   unsigned X = Pend.Loc;
@@ -288,8 +288,7 @@ void PsMachine::stepRead(const PsMachineState &S, unsigned Tid,
 }
 
 void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
-                          const ProgState::Pending &Pend,
-                          std::vector<PsMachineState> &Out,
+                          const ProgState::Pending &Pend, PsStates &Out,
                           bool ForCertification) const {
   const PsThread &T = S.thread(Tid);
   unsigned X = Pend.Loc;
@@ -303,7 +302,7 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
     stepFail(S, Tid, Out);
   }
 
-  auto emit = [&](Rational NewTo, std::vector<MsgId> Fulfilled,
+  auto emit = [&](Rational NewTo, const MsgIds &Fulfilled,
                   std::optional<PsMessage> NewMsg) {
     PsThread NT = T;
     NT.Prog.applyWrite(Prog, Tid);
@@ -321,7 +320,7 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
     // Own ⊥-view promises at x above the view are candidates for
     // fulfillment — either as the final message (matching value) or as
     // extra "split" messages below it (memory: na-write, Appendix B).
-    std::vector<const PsMessage *> Cands;
+    PoolVector<const PsMessage *> Cands;
     for (const MsgId &Id : T.Promises) {
       if (Id.Loc != X || !(Vx < Id.To))
         continue;
@@ -338,7 +337,7 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
           Cfg.SplitBudget)
         continue;
       Rational MaxSplit = Vx;
-      std::vector<MsgId> Splits;
+      MsgIds Splits;
       for (unsigned I = 0; I != N; ++I) {
         if (!((Mask >> I) & 1))
           continue;
@@ -363,7 +362,7 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
         const PsMessage *M = Cands[I];
         if (M->Valueless || M->V != V || !(MaxSplit < M->To))
           continue;
-        std::vector<MsgId> All = Splits;
+        MsgIds All = Splits;
         All.push_back(MsgId{X, M->To});
         emit(M->To, All, std::nullopt);
       }
@@ -420,8 +419,7 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
 }
 
 void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
-                        const ProgState::Pending &Pend,
-                        std::vector<PsMachineState> &Out,
+                        const ProgState::Pending &Pend, PsStates &Out,
                         bool ForCertification) const {
   const PsThread &T = S.thread(Tid);
   unsigned X = Pend.Loc;
@@ -451,7 +449,7 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
     // makes lock-protected code promise-robust (DRF guarantees, §5).
     if (Adjacent && ForCertification)
       return;
-    std::vector<TimeSlot> Slots;
+    SlotVec Slots;
     if (Adjacent) {
       std::optional<TimeSlot> Slot = S.Mem.adjacentSlot(X, ReadTo);
       if (!Slot.has_value())
@@ -519,12 +517,12 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
 }
 
 void PsMachine::stepPromise(const PsMachineState &S, unsigned Tid,
-                            std::vector<PsMachineState> &Out) const {
+                            PsStates &Out) const {
   const PsThread &T = S.thread(Tid);
   if (T.Promises.size() >= Cfg.PromiseBudget)
     return;
 
-  for (unsigned X : Writable[Tid].members()) {
+  for (unsigned X : Writable[Tid]) {
     bool Atomic = Prog.isAtomicLoc(X);
     for (const TimeSlot &Slot : S.Mem.slotsAbove(X, T.V.get(X))) {
       auto emit = [&](PsMessage M) {
@@ -564,7 +562,7 @@ void PsMachine::stepPromise(const PsMachineState &S, unsigned Tid,
 }
 
 void PsMachine::stepLower(const PsMachineState &S, unsigned Tid,
-                          std::vector<PsMachineState> &Out) const {
+                          PsStates &Out) const {
   // (lower): replace an own promise ⟨x@t, v, V⟩ by ⟨x@t, v', V'⟩ with
   // v ⊑ v' and V' ⊑ V — i.e. raise the value to undef and/or drop the
   // view to ⊥.
@@ -582,7 +580,7 @@ void PsMachine::stepLower(const PsMachineState &S, unsigned Tid,
         continue;
       // No endpoint moves, so the successor stays normalized.
       PsMachineState Next = S;
-      Next.Mem.update(Id.Loc, [&](std::vector<PsMessage> &Ms) {
+      Next.Mem.update(Id.Loc, [&](MsgVec &Ms) {
         for (PsMessage &NM : Ms) {
           if (NM.To != Id.To)
             continue;
@@ -597,10 +595,9 @@ void PsMachine::stepLower(const PsMachineState &S, unsigned Tid,
   }
 }
 
-std::vector<PsMachineState>
-PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
-                      bool ForCertification) const {
-  std::vector<PsMachineState> Out;
+PsStates PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
+                               bool ForCertification) const {
+  PsStates Out;
   const PsThread &T = S.thread(Tid);
   if (S.Bottom || T.Prog.status() != ProgState::Status::Running)
     return Out;
@@ -698,6 +695,7 @@ bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
 
 CertVerdict PsMachine::searchCertification(const PsMachineState &S,
                                            unsigned Tid) const {
+  obs::ScopedSpan Span(Cfg.Telem ? Cfg.Telem->Spans : nullptr, "psna.cert");
   obs::ScopedTally Tally(Cfg.Telem ? &Cfg.Telem->Counters : nullptr);
   uint64_t &Searches = Tally.slot("psna.cert.searches");
   uint64_t &Nodes = Tally.slot("psna.cert.nodes");
@@ -709,8 +707,8 @@ CertVerdict PsMachine::searchCertification(const PsMachineState &S,
   PsMachineState Root = S.project(Tid);
   // Depth-first search over thread-local futures. Each state lives once,
   // in Visited (whose elements never move); the stack points into it.
-  std::unordered_set<PsMachineState, PsStateHash> Visited;
-  std::vector<const PsMachineState *> Stack;
+  PsStateSet Visited;
+  PoolVector<const PsMachineState *> Stack;
   Stack.push_back(&*Visited.insert(std::move(Root)).first);
   unsigned Budget = Cfg.CertNodeBudget;
   while (!Stack.empty()) {
@@ -750,9 +748,9 @@ CertVerdict PsMachine::searchCertification(const PsMachineState &S,
   return Fails;
 }
 
-std::vector<PsMachineState>
-PsMachine::threadSuccessors(const PsMachineState &S, unsigned Tid) const {
-  std::vector<PsMachineState> Out;
+PsStates PsMachine::threadSuccessors(const PsMachineState &S,
+                                     unsigned Tid) const {
+  PsStates Out;
   for (PsMachineState &Next : microSteps(S, Tid, /*ForCertification=*/false)) {
     if (Next.Bottom) {
       Out.push_back(std::move(Next)); // (machine: failure) — no cert

@@ -46,11 +46,11 @@
 #include "exec/ThreadPool.h"
 #include "memo/Fingerprint.h"
 #include "psna/Thread.h"
-#include "support/LocSet.h"
 #include "support/ValueDomain.h"
 
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 namespace pseq {
@@ -161,8 +161,13 @@ private:
     PsThread T;
     uint64_t Hash = 0;
   };
-  std::vector<std::shared_ptr<const SharedThread>> Threads;
+  using ThreadPtr = std::shared_ptr<const SharedThread>;
+  static ThreadPtr makeThread(PsThread T);
+  PoolVector<ThreadPtr> Threads;
 };
+
+/// Successor states, in step order.
+using PsStates = PoolVector<PsMachineState>;
 
 /// Hashes a state for the explorers' and certification's visited sets.
 struct PsStateHash {
@@ -170,6 +175,12 @@ struct PsStateHash {
     return static_cast<size_t>(S.hash());
   }
 };
+
+/// The explorers' and certification's visited sets.
+using PsStateSet =
+    std::unordered_set<PsMachineState, PsStateHash,
+                       std::equal_to<PsMachineState>,
+                       PoolAllocator<PsMachineState>>;
 
 /// One certification search's outcome.
 struct CertVerdict {
@@ -181,8 +192,9 @@ struct CertVerdict {
 /// table lives for one exploration; the explorer freezes it while a level
 /// expands and inserts the verdicts of merged expansions in pop order, so
 /// which searches run is a function of the BFS level alone.
-using CertTable =
-    std::unordered_map<memo::Fp128, CertVerdict, memo::Fp128Hash>;
+using CertTable = std::unordered_map<
+    memo::Fp128, CertVerdict, memo::Fp128Hash, std::equal_to<memo::Fp128>,
+    PoolAllocator<std::pair<const memo::Fp128, CertVerdict>>>;
 
 /// Rough retained bytes of one CertTable entry (key, verdict, node and
 /// bucket pointers), for ResourceGuard accounting.
@@ -193,8 +205,8 @@ class PsMachine {
   const Program &Prog;
   PsConfig Cfg;
   /// Per thread: the locations stepPromise can target (NaWritten ∪
-  /// AtomicAccessed).
-  std::vector<LocSet> Writable;
+  /// AtomicAccessed), in increasing order.
+  std::vector<std::vector<unsigned>> Writable;
   /// The values a promise may carry: the domain plus undef.
   std::vector<Value> ReadVals;
 
@@ -211,8 +223,7 @@ public:
   /// With Normalize on, \p S must be normalized, and so are the
   /// successors. (machine: normal) steps are filtered by
   /// certification; (machine: failure) steps yield Bottom states.
-  std::vector<PsMachineState> threadSuccessors(const PsMachineState &S,
-                                               unsigned Tid) const;
+  PsStates threadSuccessors(const PsMachineState &S, unsigned Tid) const;
 
   /// Certification: thread \p Tid, running alone against S.Mem, can
   /// fulfill all its promises (bounded search from the projection
@@ -255,28 +266,22 @@ private:
   /// Enumerates thread micro-steps (no certification); with Normalize on,
   /// the successors of a normalized state are normalized. When
   /// \p ForCertification, promise steps are disabled.
-  std::vector<PsMachineState> microSteps(const PsMachineState &S,
-                                         unsigned Tid,
-                                         bool ForCertification) const;
+  PsStates microSteps(const PsMachineState &S, unsigned Tid,
+                      bool ForCertification) const;
 
   void stepRead(const PsMachineState &S, unsigned Tid,
-                const ProgState::Pending &Pend,
-                std::vector<PsMachineState> &Out,
+                const ProgState::Pending &Pend, PsStates &Out,
                 bool ForCertification) const;
   void stepWrite(const PsMachineState &S, unsigned Tid,
-                 const ProgState::Pending &Pend,
-                 std::vector<PsMachineState> &Out,
+                 const ProgState::Pending &Pend, PsStates &Out,
                  bool ForCertification) const;
   void stepRmw(const PsMachineState &S, unsigned Tid,
-               const ProgState::Pending &Pend,
-               std::vector<PsMachineState> &Out,
+               const ProgState::Pending &Pend, PsStates &Out,
                bool ForCertification) const;
   void stepPromise(const PsMachineState &S, unsigned Tid,
-                   std::vector<PsMachineState> &Out) const;
-  void stepLower(const PsMachineState &S, unsigned Tid,
-                 std::vector<PsMachineState> &Out) const;
-  void stepFail(const PsMachineState &S, unsigned Tid,
-                std::vector<PsMachineState> &Out) const;
+                   PsStates &Out) const;
+  void stepLower(const PsMachineState &S, unsigned Tid, PsStates &Out) const;
+  void stepFail(const PsMachineState &S, unsigned Tid, PsStates &Out) const;
 
   /// Inserts \p M into \p S, re-ranking its location when normalizing.
   /// Called last, once the step has updated the moving thread.

@@ -14,9 +14,8 @@
 
 using namespace pseq;
 
-std::shared_ptr<const PsMemory::MsgList>
-PsMemory::makeList(std::vector<PsMessage> Ms) {
-  auto L = std::make_shared<MsgList>();
+PsMemory::ListPtr PsMemory::makeList(MsgVec Ms) {
+  auto L = std::allocate_shared<MsgList>(PoolAllocator<MsgList>());
   L->Hash = Ms.size();
   for (const PsMessage &M : Ms)
     L->Hash = hashCombine(L->Hash, M.hash());
@@ -27,18 +26,18 @@ PsMemory::makeList(std::vector<PsMessage> Ms) {
 PsMemory PsMemory::initial(unsigned NumLocs) {
   PsMemory M;
   for (unsigned L = 0; L != NumLocs; ++L)
-    M.PerLoc.push_back(makeList({PsMessage::init(L)}));
+    M.PerLoc.push_back(makeList(MsgVec{PsMessage::init(L)}));
   return M;
 }
 
-const std::vector<PsMessage> &PsMemory::msgs(unsigned Loc) const {
+const MsgVec &PsMemory::msgs(unsigned Loc) const {
   assert(Loc < PerLoc.size() && "location out of range");
   return PerLoc[Loc]->Msgs;
 }
 
 void PsMemory::insert(const PsMessage &M) {
   assert(M.From < M.To && "empty or inverted message range");
-  update(M.Loc, [&M](std::vector<PsMessage> &Ms) {
+  update(M.Loc, [&M](MsgVec &Ms) {
     auto It = std::lower_bound(Ms.begin(), Ms.end(), M,
                                [](const PsMessage &A, const PsMessage &B) {
                                  return A.To < B.To;
@@ -60,10 +59,9 @@ const PsMessage *PsMemory::find(MsgId Id) const {
   return nullptr;
 }
 
-std::vector<TimeSlot> PsMemory::slotsAbove(unsigned Loc,
-                                           Rational After) const {
-  const std::vector<PsMessage> &Ms = msgs(Loc);
-  std::vector<TimeSlot> Out;
+SlotVec PsMemory::slotsAbove(unsigned Loc, Rational After) const {
+  const MsgVec &Ms = msgs(Loc);
+  SlotVec Out;
   // Gaps between consecutive messages (and below the first message, which
   // cannot occur in practice since the init message sits at 0).
   for (size_t I = 0; I + 1 < Ms.size(); ++I) {
@@ -88,7 +86,7 @@ std::vector<TimeSlot> PsMemory::slotsAbove(unsigned Loc,
 
 std::optional<TimeSlot> PsMemory::adjacentSlot(unsigned Loc,
                                                Rational ReadTo) const {
-  const std::vector<PsMessage> &Ms = msgs(Loc);
+  const MsgVec &Ms = msgs(Loc);
   for (size_t I = 0, E = Ms.size(); I != E; ++I) {
     if (Ms[I].To != ReadTo)
       continue;
@@ -118,14 +116,14 @@ bool PsMemory::operator==(const PsMemory &O) const {
 
 uint64_t PsMemory::hash() const {
   uint64_t H = PerLoc.size();
-  for (const std::shared_ptr<const MsgList> &L : PerLoc)
+  for (const ListPtr &L : PerLoc)
     H = hashCombine(H, L->Hash);
   return H;
 }
 
 std::string PsMemory::str() const {
   std::string Out;
-  for (const std::shared_ptr<const MsgList> &L : PerLoc)
+  for (const ListPtr &L : PerLoc)
     for (const PsMessage &M : L->Msgs)
       Out += M.str() + " ";
   return Out;

@@ -22,6 +22,7 @@
 #define PSEQ_PSNA_MEMORY_H
 
 #include "psna/Message.h"
+#include "support/NodePool.h"
 
 #include <memory>
 #include <vector>
@@ -33,17 +34,23 @@ struct TimeSlot {
   Rational From;
   Rational To;
 };
+/// The slots slotsAbove() offers, in timestamp order.
+using SlotVec = PoolVector<TimeSlot>;
+
+/// One location's messages, sorted by To.
+using MsgVec = PoolVector<PsMessage>;
 
 /// The message memory M.
 class PsMemory {
-  /// One location's messages, sorted by To, and their hash.
+  /// One location's messages and their hash.
   struct MsgList {
-    std::vector<PsMessage> Msgs;
+    MsgVec Msgs;
     uint64_t Hash = 0;
   };
-  std::vector<std::shared_ptr<const MsgList>> PerLoc;
+  using ListPtr = std::shared_ptr<const MsgList>;
+  PoolVector<ListPtr> PerLoc;
 
-  static std::shared_ptr<const MsgList> makeList(std::vector<PsMessage> Ms);
+  static ListPtr makeList(MsgVec Ms);
 
 public:
   PsMemory() = default;
@@ -52,14 +59,14 @@ public:
   static PsMemory initial(unsigned NumLocs);
 
   unsigned numLocs() const { return static_cast<unsigned>(PerLoc.size()); }
-  const std::vector<PsMessage> &msgs(unsigned Loc) const;
+  const MsgVec &msgs(unsigned Loc) const;
 
   /// Replaces location \p Loc's list by a copy that \p F edits in place;
   /// every other memory sharing the old list keeps it unchanged. \p F must
   /// leave the list sorted by To and pairwise disjoint.
   template <typename Fn> void update(unsigned Loc, Fn &&F) {
-    const std::vector<PsMessage> &Old = msgs(Loc);
-    std::vector<PsMessage> Ms;
+    const MsgVec &Old = msgs(Loc);
+    MsgVec Ms;
     Ms.reserve(Old.size() + 1); // room for insert() without regrowing
     Ms.assign(Old.begin(), Old.end());
     F(Ms);
@@ -77,7 +84,7 @@ public:
   /// the middle of the gap (leaving room on both sides for later inserts),
   /// plus a slot past the maximal message. Gap-midpoint placement is the
   /// order-canonical choice (see DESIGN.md, timestamp normalization).
-  std::vector<TimeSlot> slotsAbove(unsigned Loc, Rational After) const;
+  SlotVec slotsAbove(unsigned Loc, Rational After) const;
 
   /// \returns the slot immediately adjacent to the message with timestamp
   /// \p ReadTo (From = ReadTo), used by RMWs — or nothing when another

@@ -22,11 +22,14 @@
 
 namespace pseq {
 
+/// A sorted promise set, or any list of message ids a step builds.
+using MsgIds = PoolVector<MsgId>;
+
 /// One PS^na thread ⟨σ, V, P⟩.
 struct PsThread {
   ProgState Prog;
   View V;
-  std::vector<MsgId> Promises; // sorted
+  MsgIds Promises; // sorted
 
   bool hasPromise(MsgId Id) const {
     return std::binary_search(Promises.begin(), Promises.end(), Id);

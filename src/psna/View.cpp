@@ -8,22 +8,43 @@
 #include "psna/View.h"
 
 #include "support/Hashing.h"
+#include "support/NodePool.h"
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <utility>
 
 using namespace pseq;
 
+namespace {
+
+/// \p N zero timestamps in a pooled block.
+Rational *allocTimes(unsigned N) {
+  auto *P = static_cast<Rational *>(pool::allocate(N * sizeof(Rational)));
+  std::uninitialized_default_construct_n(P, N);
+  return P;
+}
+
+} // namespace
+
 View::View(unsigned NumLocs) : N(NumLocs) {
   if (N > InlineLocs)
-    Heap = std::make_unique<Rational[]>(N);
+    Heap = allocTimes(N);
+}
+
+void View::release() {
+  if (Heap)
+    pool::deallocate(Heap, N * sizeof(Rational));
+  Heap = nullptr;
 }
 
 View::View(const View &O) : View(O.N) {
   std::copy_n(O.data(), N, data());
 }
 
-View::View(View &&O) noexcept : N(O.N), Heap(std::move(O.Heap)) {
+View::View(View &&O) noexcept
+    : N(O.N), Heap(std::exchange(O.Heap, nullptr)) {
   if (!Heap)
     std::copy_n(O.Inline, N, Inline);
   O.N = 0;
@@ -32,11 +53,12 @@ View::View(View &&O) noexcept : N(O.N), Heap(std::move(O.Heap)) {
 View &View::operator=(const View &O) {
   if (this == &O)
     return *this;
-  if (O.N <= InlineLocs)
-    Heap.reset();
-  else if (N != O.N || !Heap)
-    Heap = std::make_unique<Rational[]>(O.N);
-  N = O.N;
+  if (N != O.N) {
+    release();
+    N = O.N;
+    if (N > InlineLocs)
+      Heap = allocTimes(N);
+  }
   std::copy_n(O.data(), N, data());
   return *this;
 }
@@ -44,8 +66,9 @@ View &View::operator=(const View &O) {
 View &View::operator=(View &&O) noexcept {
   if (this == &O)
     return *this;
+  release();
   N = O.N;
-  Heap = std::move(O.Heap);
+  Heap = std::exchange(O.Heap, nullptr);
   if (!Heap)
     std::copy_n(O.Inline, N, Inline);
   O.N = 0;

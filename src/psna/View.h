@@ -19,7 +19,6 @@
 
 #include "support/Rational.h"
 
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -30,16 +29,19 @@ namespace pseq {
 ///
 /// Every thread and every atomic message carries a view, so the
 /// timestamps of a view over at most InlineLocs locations live inline
-/// rather than in a heap block of their own; wider views use the heap.
+/// rather than in a heap block of their own; wider views take a block from
+/// the node pool (support/NodePool.h).
 class View {
   static constexpr unsigned InlineLocs = 4;
   unsigned N = 0;
   Rational Inline[InlineLocs];
-  std::unique_ptr<Rational[]> Heap; ///< set iff N > InlineLocs
+  Rational *Heap = nullptr; ///< N pooled timestamps; set iff N > InlineLocs
 
   explicit View(unsigned NumLocs);
-  Rational *data() { return Heap ? Heap.get() : Inline; }
-  const Rational *data() const { return Heap ? Heap.get() : Inline; }
+  /// Returns Heap to the pool.
+  void release();
+  Rational *data() { return Heap ? Heap : Inline; }
+  const Rational *data() const { return Heap ? Heap : Inline; }
 
 public:
   View() = default;
@@ -47,6 +49,7 @@ public:
   View(View &&O) noexcept;
   View &operator=(const View &O);
   View &operator=(View &&O) noexcept;
+  ~View() { release(); }
 
   /// The initial view: timestamp 0 everywhere.
   static View zero(unsigned NumLocs);

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace pseq {
 
@@ -27,15 +26,6 @@ inline uint64_t hashCombine(uint64_t Seed, uint64_t V) {
   V *= 0x9e3779b97f4a7c15ULL;
   V ^= V >> 32;
   Seed ^= V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2);
-  return Seed;
-}
-
-/// Hashes a contiguous range of integer-convertible elements.
-template <typename T>
-uint64_t hashRange(uint64_t Seed, const std::vector<T> &Elems) {
-  Seed = hashCombine(Seed, Elems.size());
-  for (const T &E : Elems)
-    Seed = hashCombine(Seed, static_cast<uint64_t>(E));
   return Seed;
 }
 

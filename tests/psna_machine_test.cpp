@@ -44,7 +44,7 @@ TEST(PsMemoryTest, InitialMemoryHasInitMessages) {
 
 TEST(PsMemoryTest, SlotsAboveLeaveRoom) {
   PsMemory M = PsMemory::initial(1);
-  std::vector<TimeSlot> S1 = M.slotsAbove(0, Rational(0));
+  SlotVec S1 = M.slotsAbove(0, Rational(0));
   ASSERT_EQ(S1.size(), 1u) << "only the past-the-end slot initially";
   PsMessage A;
   A.Loc = 0;
@@ -54,7 +54,7 @@ TEST(PsMemoryTest, SlotsAboveLeaveRoom) {
   M.insert(A);
 
   // Now: a gap slot between init and A, plus past-the-end.
-  std::vector<TimeSlot> S2 = M.slotsAbove(0, Rational(0));
+  SlotVec S2 = M.slotsAbove(0, Rational(0));
   ASSERT_EQ(S2.size(), 2u);
   EXPECT_LT(Rational(0), S2[0].From);
   EXPECT_LT(S2[0].To, A.From);
@@ -315,7 +315,7 @@ TEST(PsMachineTest, NormalizationIsIdempotentAndOrderPreserving) {
   // that message order per location is unchanged by ranking.
   PsMachineState S = M.initialState();
   for (unsigned Step = 0; Step != 3; ++Step) {
-    std::vector<PsMachineState> Succ = M.threadSuccessors(S, 0);
+    PsStates Succ = M.threadSuccessors(S, 0);
     ASSERT_FALSE(Succ.empty());
     S = Succ.front();
     std::vector<Value> OrderBefore;
@@ -478,8 +478,8 @@ TEST(PsNormalizeTest, DenseRanksOrderPreservedIdempotent) {
               << LC.Name << " loc " << Loc << ": " << N.str();
         // Order-preserving: the same messages in the same order, and each
         // timestamp keeps its relative position.
-        const std::vector<PsMessage> &Before = S.Mem.msgs(Loc);
-        const std::vector<PsMessage> &After = N.Mem.msgs(Loc);
+        const MsgVec &Before = S.Mem.msgs(Loc);
+        const MsgVec &After = N.Mem.msgs(Loc);
         ASSERT_EQ(Before.size(), After.size()) << LC.Name;
         for (size_t I = 0; I != Before.size(); ++I) {
           EXPECT_EQ(Before[I].Valueless, After[I].Valueless) << LC.Name;
@@ -620,7 +620,7 @@ namespace {
 /// A deep copy of a state's contents, sharing nothing with it.
 struct StateSnapshot {
   std::vector<PsThread> Threads;
-  std::vector<std::vector<PsMessage>> Msgs;
+  std::vector<MsgVec> Msgs;
   std::vector<Value> Outs;
   bool Bottom = false;
   std::string Str;
@@ -639,7 +639,7 @@ struct StateSnapshot {
     PsMachineState R;
     R.Mem = PsMemory::initial(static_cast<unsigned>(Msgs.size()));
     for (unsigned Loc = 0; Loc != Msgs.size(); ++Loc)
-      R.Mem.update(Loc, [&](std::vector<PsMessage> &Ms) { Ms = Msgs[Loc]; });
+      R.Mem.update(Loc, [&](MsgVec &Ms) { Ms = Msgs[Loc]; });
     for (unsigned Tid = 0; Tid != Threads.size(); ++Tid)
       R.setThread(Tid, Threads[Tid]);
     R.Outs = Outs;
@@ -706,7 +706,7 @@ TEST(PsCopyOnWriteTest, MutatingACopyLeavesTheOriginal) {
       }
       for (unsigned Tid = 0; Tid != C.numThreads(); ++Tid) {
         for (const MsgId &Id : C.thread(Tid).Promises)
-          C.Mem.update(Id.Loc, [&Id](std::vector<PsMessage> &Ms) {
+          C.Mem.update(Id.Loc, [&Id](MsgVec &Ms) {
             for (PsMessage &M : Ms)
               if (M.To == Id.To) {
                 M.V = Value::undef();
