@@ -407,10 +407,13 @@ int main(int Argc, char **Argv) {
 
     // The Fig. 6 self-simulation of every protocol thread, differentially
     // checked against a budget-bounded ⊑w lane (unbounded, the oracle game
-    // runs for hours on these spin loops). The litmus.sim.* counts are
-    // deterministic. A disagreement counts only where ⊑w is exhaustive: a
-    // deadline or budget can shrink `compared`, never fake a disagreement.
-    // Any disagreement is a soundness bug and fails the run.
+    // runs for hours on these spin loops). The lane stops after a fixed
+    // number of guard checkpoints, so the litmus.sim.* counts are
+    // deterministic on any host; the six threads where ⊑w is exhaustive
+    // need at most 2,826, and a thread that can never be compared stops
+    // at the budget. A disagreement counts only where ⊑w is exhaustive: a
+    // budget can shrink `compared`, never fake a disagreement. Any
+    // disagreement is a soundness bug and fails the run.
     std::printf("Fig. 6 self-simulation sweep (protocol threads)\n");
     // Zero deltas too: every key reaches run.final on a clean sweep.
     for (const char *Key : {"litmus.sim.checked", "litmus.sim.decided",
@@ -430,8 +433,10 @@ int main(int Argc, char **Argv) {
         SeqConfig ECfg = SCfg;
         ECfg.StepBudget = 16;
         ECfg.MaxBehaviors = 500;
+        guard::CancellationToken EBudget;
+        EBudget.tripAfterPolls(10000);
         guard::ResourceGuard EGuard;
-        EGuard.setDeadlineInMs(3000);
+        EGuard.setToken(&EBudget);
         ECfg.Guard = &EGuard;
         RefinementResult E = checkAdvancedRefinement(*P, Tid, *P, Tid, ECfg);
         C.add("litmus.sim.checked");

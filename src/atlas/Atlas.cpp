@@ -205,7 +205,7 @@ memo::Fp128 verdictKey(const Program &Src, const Program &Tgt,
   K = memo::fpCombine(K, memo::fingerprintProgram(Src));
   K = memo::fpCombine(K, memo::fingerprintProgram(Tgt));
   auto mixDomain = [&K](const ValueDomain &D) {
-    std::vector<int64_t> Vals = D.values();
+    const std::vector<int64_t> &Vals = D.values();
     memo::fpMix(K, Vals.size());
     for (int64_t V : Vals)
       memo::fpMix(K, static_cast<uint64_t>(V));

@@ -184,6 +184,7 @@ void recordUsage(IsolateResult &R, const struct rusage &RU) {
 #endif
   R.UserMs = RU.ru_utime.tv_sec * 1000.0 + RU.ru_utime.tv_usec / 1000.0;
   R.SysMs = RU.ru_stime.tv_sec * 1000.0 + RU.ru_stime.tv_usec / 1000.0;
+  R.MinorFaults = static_cast<uint64_t>(RU.ru_minflt);
 }
 
 /// Drains whatever is currently readable from \p Fd into \p Output, up to

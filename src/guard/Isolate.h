@@ -79,6 +79,7 @@ struct IsolateResult {
   uint64_t PeakRssKb = 0; ///< child peak resident set (ru_maxrss), KiB
   double UserMs = 0.0;    ///< child user CPU time (ru_utime)
   double SysMs = 0.0;     ///< child system CPU time (ru_stime)
+  uint64_t MinorFaults = 0; ///< child minor page faults (ru_minflt)
 };
 
 /// True when this host can fork-isolate (POSIX).

@@ -58,6 +58,13 @@ struct EvalResult {
   static EvalResult ok(Value V) { return {false, V}; }
 };
 
+/// The key to an Expr or Stmt constructor. Only a Program can make one, so
+/// only a Program creates nodes, in place in its arenas.
+class NodeKey {
+  NodeKey() = default;
+  friend class Program;
+};
+
 /// An arena-allocated expression node. Nodes are immutable and owned by a
 /// Program; statements and other expressions reference them by pointer.
 class Expr {
@@ -73,10 +80,11 @@ private:
   const Expr *Lhs = nullptr;
   const Expr *Rhs = nullptr;
 
-  explicit Expr(Kind K) : K(K) {}
   friend class Program;
 
 public:
+  Expr(Kind K, NodeKey) : K(K) {}
+
   Kind kind() const { return K; }
 
   Value constVal() const;

@@ -25,7 +25,7 @@ Value ProgState::retVal() const {
 }
 
 static const Instr &fetch(const Program &P, unsigned Tid, unsigned Pc) {
-  const std::vector<Instr> &Code = P.thread(Tid).Code;
+  const PoolVector<Instr> &Code = P.thread(Tid).Code;
   assert(Pc < Code.size() && "pc out of range");
   return Code[Pc];
 }

@@ -12,13 +12,11 @@
 using namespace pseq;
 
 Expr *Program::newExpr(Expr::Kind K) {
-  ExprArena.push_back(std::unique_ptr<Expr>(new Expr(K)));
-  return ExprArena.back().get();
+  return &ExprArena.emplace_back(K, NodeKey());
 }
 
 Stmt *Program::newStmt(Stmt::Kind K) {
-  StmtArena.push_back(std::unique_ptr<Stmt>(new Stmt(K)));
-  return StmtArena.back().get();
+  return &StmtArena.emplace_back(K, NodeKey());
 }
 
 unsigned Program::declareLoc(const std::string &Name, bool Atomic) {
@@ -289,7 +287,7 @@ namespace {
 
 /// Emits bytecode for a statement tree with explicit jump targets.
 class Compiler {
-  std::vector<Instr> Code;
+  PoolVector<Instr> Code;
 
   unsigned here() const { return static_cast<unsigned>(Code.size()); }
 
@@ -429,7 +427,7 @@ public:
     assert(false && "unknown statement kind");
   }
 
-  std::vector<Instr> take(const Expr *ImplicitRet) {
+  PoolVector<Instr> take(const Expr *ImplicitRet) {
     // Ensure every path terminates: append `return 0`.
     Instr Ret{Instr::Opcode::Return};
     Ret.E = ImplicitRet;
@@ -440,9 +438,9 @@ public:
 
 } // namespace
 
-std::vector<Instr> pseq::compileStmt(const Stmt *Body) {
+PoolVector<Instr> pseq::compileStmt(const Stmt *Body) {
   // The implicit-return constant lives outside any arena; use a static
-  // zero-constant Expr. Expr construction is private, so we route through a
+  // zero-constant Expr. Only a Program creates Exprs, so we route through a
   // function-local Program that lives forever.
   static Program *Statics = new Program();
   static const Expr *Zero = Statics->exprConst(Value::of(0));

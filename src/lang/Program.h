@@ -24,8 +24,10 @@
 #include "lang/Instr.h"
 #include "lang/Stmt.h"
 #include "support/LocSet.h"
+#include "support/NodePool.h"
 #include "support/Symbol.h"
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -48,14 +50,16 @@ public:
   struct ThreadCode {
     SymbolTable Regs;
     const Stmt *Body = nullptr;
-    std::vector<Instr> Code;
+    PoolVector<Instr> Code;
   };
 
 private:
   SymbolTable Locs;
   std::vector<bool> AtomicFlag;
-  std::vector<std::unique_ptr<Expr>> ExprArena;
-  std::vector<std::unique_ptr<Stmt>> StmtArena;
+  /// Node arenas: chunked deques from the node pool, so a node never
+  /// moves and a chunk of nodes costs one allocation.
+  std::deque<Expr, PoolAllocator<Expr>> ExprArena;
+  std::deque<Stmt, PoolAllocator<Stmt>> StmtArena;
   std::vector<std::unique_ptr<ThreadCode>> Threads;
 
   Expr *newExpr(Expr::Kind K);
@@ -149,7 +153,7 @@ bool sameLayout(const Program &A, const Program &B);
 std::unique_ptr<Program> cloneProgram(const Program &P);
 
 /// Compiles a statement tree to bytecode (exposed for tests).
-std::vector<Instr> compileStmt(const Stmt *Body);
+PoolVector<Instr> compileStmt(const Stmt *Body);
 
 } // namespace pseq
 

@@ -63,10 +63,11 @@ private:
   const Stmt *S2 = nullptr;      // If else
   std::vector<const Stmt *> Body; // Seq children
 
-  explicit Stmt(Kind K) : K(K) {}
   friend class Program;
 
 public:
+  Stmt(Kind K, NodeKey) : K(K) {}
+
   Kind kind() const { return K; }
 
   unsigned reg() const { return Reg; }

@@ -1,4 +1,4 @@
-//===- memo/VisitedSet.cpp - Sharded fingerprint hash table ---------------===//
+//===- memo/VisitedSet.cpp - Fingerprint hash table -----------------------===//
 //
 // Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
@@ -7,81 +7,42 @@
 
 #include "memo/VisitedSet.h"
 
-#include <cassert>
-
 using namespace pseq;
 using namespace pseq::memo;
 
-namespace {
+VisitedSet::VisitedSet() : Slots(16) {}
 
-size_t roundUpPow2(size_t N) {
-  size_t C = 16;
-  while (C < N)
-    C <<= 1;
-  return C;
-}
-
-} // namespace
-
-void VisitedSet::Shard::init(size_t Cap) {
-  KeyLo.assign(Cap, 0);
-  KeyHi.assign(Cap, 0);
-  Mask.assign(Cap, 0);
-  Used = 0;
-}
-
-size_t VisitedSet::Shard::probe(const Fp128 &Fp) const {
-  size_t CapMask = KeyLo.size() - 1;
-  size_t Idx = static_cast<size_t>(Fp.Hi) & CapMask;
-  for (;;) {
-    if (KeyLo[Idx] == 0 && KeyHi[Idx] == 0)
-      return Idx; // empty slot
-    if (KeyLo[Idx] == Fp.Lo && KeyHi[Idx] == Fp.Hi)
-      return Idx; // occupied by Fp
-    Idx = (Idx + 1) & CapMask;
+VisitedSet::Slot &VisitedSet::probe(const Fp128 &Fp) {
+  size_t CapMask = Slots.size() - 1;
+  for (size_t Idx = static_cast<size_t>(Fp.Hi) & CapMask;;
+       Idx = (Idx + 1) & CapMask) {
+    Slot &S = Slots[Idx];
+    if (S.Key.isZero() || S.Key == Fp)
+      return S;
   }
 }
 
-void VisitedSet::Shard::grow() {
-  std::vector<uint64_t> OldLo = std::move(KeyLo);
-  std::vector<uint64_t> OldHi = std::move(KeyHi);
-  std::vector<uint32_t> OldMask = std::move(Mask);
-  init(OldLo.size() * 2);
-  for (size_t I = 0, E = OldLo.size(); I != E; ++I) {
-    if (OldLo[I] == 0 && OldHi[I] == 0)
-      continue;
-    size_t Idx = probe(Fp128{OldLo[I], OldHi[I]});
-    KeyLo[Idx] = OldLo[I];
-    KeyHi[Idx] = OldHi[I];
-    Mask[Idx] = OldMask[I];
-    ++Used;
-  }
-}
-
-VisitedSet::VisitedSet(size_t Expected) : Shards(new Shard[NumShards]) {
-  size_t PerShard = roundUpPow2(Expected / NumShards + 1);
-  for (size_t S = 0; S != NumShards; ++S)
-    Shards[S].init(PerShard);
+void VisitedSet::grow() {
+  PoolVector<Slot> Old(Slots.size() * 2);
+  Old.swap(Slots);
+  for (const Slot &S : Old)
+    if (!S.Key.isZero())
+      probe(S.Key) = S;
 }
 
 VisitedSet::Outcome VisitedSet::insertOrMerge(Fp128 Fp, uint32_t NewMask) {
   Fp = Fp.sealed();
-  Shard &S = Shards[static_cast<size_t>(Fp.Lo) & (NumShards - 1)];
-  std::lock_guard<std::mutex> Lock(S.Mu);
   // Grow at 62.5% load, before probing (so probe always finds a slot).
-  if ((S.Used + 1) * 8 > S.KeyLo.size() * 5)
-    S.grow();
-  size_t Idx = S.probe(Fp);
-  if (S.KeyLo[Idx] == 0 && S.KeyHi[Idx] == 0) {
-    S.KeyLo[Idx] = Fp.Lo;
-    S.KeyHi[Idx] = Fp.Hi;
-    S.Mask[Idx] = NewMask;
-    ++S.Used;
-    Count.fetch_add(1, std::memory_order_relaxed);
+  if ((Used + 1) * 8 > Slots.size() * 5)
+    grow();
+  Slot &S = probe(Fp);
+  if (S.Key.isZero()) {
+    S = Slot{Fp, NewMask};
+    ++Used;
     return Outcome{true, false, NewMask};
   }
-  uint32_t Merged = S.Mask[Idx] & NewMask;
-  bool Shrunk = Merged != S.Mask[Idx];
-  S.Mask[Idx] = Merged;
+  uint32_t Merged = S.Mask & NewMask;
+  bool Shrunk = Merged != S.Mask;
+  S.Mask = Merged;
   return Outcome{false, Shrunk, Merged};
 }

@@ -1,4 +1,4 @@
-//===- memo/VisitedSet.h - Sharded fingerprint hash table -------*- C++ -*-===//
+//===- memo/VisitedSet.h - Fingerprint hash table ----------------*- C++ -*-===//
 //
 // Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A thread-safe visited-state set over 128-bit canonical fingerprints,
-/// with a 32-bit payload per entry (the explorers store sleep-set masks).
-/// Sharded open-addressing tables: the shard is picked from the Lo lane,
-/// the probe sequence from the Hi lane, so both lanes must collide before
-/// two states alias. Each shard grows independently under its own mutex;
-/// sized for millions of entries (24 bytes/entry at ≤62.5% load).
+/// A visited-state set over 128-bit canonical fingerprints, with a 32-bit
+/// payload per entry (the explorers store sleep-set masks). One
+/// open-addressing table with linear probing from the Hi lane; a slot
+/// matches only when both lanes do. The table starts at 16 slots and
+/// doubles at 62.5% load, so an exploration that visits a handful of
+/// states pays for a handful of slots. Not thread-safe: the PS^na
+/// explorer inserts from its single-threaded level merge.
 ///
 /// The payload merge is intersection (sleep sets only ever shrink): an
 /// insert of an existing key replaces the stored mask with stored∩new and
@@ -24,21 +25,16 @@
 #define PSEQ_MEMO_VISITEDSET_H
 
 #include "memo/Fingerprint.h"
+#include "support/NodePool.h"
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 namespace pseq {
 namespace memo {
 
 class VisitedSet {
 public:
-  /// \p Expected sizes the initial per-shard tables (rounded up; the
-  /// tables grow as needed, this only avoids early rehashing).
-  explicit VisitedSet(size_t Expected = 1 << 16);
+  VisitedSet();
 
   struct Outcome {
     bool Inserted;  ///< key was new; Mask stored as given
@@ -47,29 +43,25 @@ public:
   };
 
   /// Inserts \p Fp with \p Mask, or — when present — intersects the stored
-  /// mask with \p Mask. Thread-safe per shard.
+  /// mask with \p Mask.
   Outcome insertOrMerge(Fp128 Fp, uint32_t Mask);
 
   /// Number of distinct keys inserted so far.
-  uint64_t size() const { return Count.load(std::memory_order_relaxed); }
+  uint64_t size() const { return Used; }
 
 private:
-  struct Shard {
-    std::mutex Mu;
-    std::vector<uint64_t> KeyLo;
-    std::vector<uint64_t> KeyHi;
-    std::vector<uint32_t> Mask;
-    size_t Used = 0;
-
-    void init(size_t Cap);
-    void grow();
-    /// Probe for \p Fp; \returns slot index (occupied by Fp or empty).
-    size_t probe(const Fp128 &Fp) const;
+  /// An all-zero key marks an empty slot (keys are sealed, never zero).
+  struct Slot {
+    Fp128 Key;
+    uint32_t Mask = 0;
   };
 
-  static constexpr size_t NumShards = 64;
-  std::unique_ptr<Shard[]> Shards;
-  std::atomic<uint64_t> Count{0};
+  PoolVector<Slot> Slots;
+  uint64_t Used = 0;
+
+  /// \returns the slot holding \p Fp, or the empty slot where it belongs.
+  Slot &probe(const Fp128 &Fp);
+  void grow();
 };
 
 } // namespace memo

@@ -329,9 +329,7 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
   PsBehaviorSet Result;
   PruneInfo PI = makePruneInfo(P, Cfg);
   PsStateSet Visited;
-  // Sized for a small exploration: the shards grow as needed, and zeroing
-  // a table sized for a large one would cost more than most runs.
-  memo::VisitedSet PrunedVisited(PI.On ? 1024 : 64);
+  memo::VisitedSet PrunedVisited;
   auto visitedCount = [&] {
     return PI.On ? PrunedVisited.size() : uint64_t(Visited.size());
   };
@@ -525,7 +523,7 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
 memo::Fp128 psExploreKey(const Program &P, const PsConfig &Cfg) {
   memo::Fp128 K = memo::fpSeed(/*Tag=*/0x70736578 /* "psex" */);
   K = memo::fpCombine(K, memo::fingerprintProgram(P));
-  std::vector<int64_t> Vals = Cfg.Domain.values();
+  const std::vector<int64_t> &Vals = Cfg.Domain.values();
   memo::fpMix(K, Vals.size());
   for (int64_t V : Vals)
     memo::fpMix(K, static_cast<uint64_t>(V));

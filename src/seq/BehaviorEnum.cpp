@@ -142,7 +142,7 @@ class DfsEnumerator {
   /// child to explore, and how many labels the *previous* child pushed
   /// (undone when control returns to this level).
   struct Frame {
-    std::vector<SeqTransition> Succs;
+    SeqTransitions Succs;
     size_t Idx = 0;
     size_t PrevPushed = 0;
     unsigned StepsLeft = 0;
@@ -192,7 +192,7 @@ private:
     F = memo::fpCombine(F, memo::fingerprintProgram(M.program()));
     memo::fpMix(F, M.tid());
     const SeqConfig &Cfg = M.config();
-    std::vector<int64_t> Vals = Cfg.Domain.values();
+    const std::vector<int64_t> &Vals = Cfg.Domain.values();
     memo::fpMix(F, Vals.size());
     for (int64_t V : Vals)
       memo::fpMix(F, static_cast<uint64_t>(V));
@@ -386,7 +386,7 @@ public:
       B.Kind = SeqBehavior::End::Term;
       B.RetVal = S.Prog.retVal();
       B.F = S.Written;
-      B.Mem = S.Mem;
+      B.Mem.assign(S.Mem.begin(), S.Mem.end());
       noteVisit(B, /*AtBudget=*/false, StepsLeft);
       emit(std::move(B));
       return false;
@@ -440,7 +440,7 @@ public:
       if (enterNode(Tr.Next, Left)) {
         // Compute successors before push_back: growing the stack
         // invalidates F and Tr.
-        std::vector<SeqTransition> Succs = M.successors(Tr.Next);
+        SeqTransitions Succs = M.successors(Tr.Next);
         Stack.push_back(Frame{std::move(Succs), 0, 0, Left});
       }
     }
@@ -639,32 +639,34 @@ pseq::enumerateBehaviorsBatch(const SeqMachine &M,
 
 std::vector<SeqState> pseq::enumerateInitialStates(const SeqMachine &M) {
   const SeqConfig &Cfg = M.config();
-  std::vector<Value> Vals;
-  for (int64_t V : Cfg.Domain.values())
-    Vals.push_back(Value::of(V));
-  Vals.push_back(Value::undef());
+  PoolVector<Value> Vals = M.readValues(/*IncludeUndef=*/true);
 
-  // All memories over the universe (zero elsewhere).
-  std::vector<std::vector<Value>> Mems;
-  Mems.push_back(
-      std::vector<Value>(M.program().numLocs(), Value::of(0)));
+  // All memories over the universe (zero elsewhere), one row of NumLocs
+  // values each; the last universe location varies fastest.
+  const size_t NumLocs = M.program().numLocs();
+  size_t NumMems = 1;
+  PoolVector<Value> Mems(NumLocs, Value::of(0));
   for (unsigned Loc : Cfg.Universe.members()) {
-    std::vector<std::vector<Value>> Next;
+    PoolVector<Value> Next;
     Next.reserve(Mems.size() * Vals.size());
-    for (const std::vector<Value> &Base : Mems) {
+    for (size_t Row = 0; Row != NumMems; ++Row) {
       for (Value V : Vals) {
-        std::vector<Value> Mem = Base;
-        Mem[Loc] = V;
-        Next.push_back(std::move(Mem));
+        auto Base = Mems.begin() + Row * NumLocs;
+        Next.insert(Next.end(), Base, Base + NumLocs);
+        Next[Next.size() - NumLocs + Loc] = V;
       }
     }
     Mems = std::move(Next);
+    NumMems *= Vals.size();
   }
 
+  std::vector<LocSet> Subsets = Cfg.Universe.subsets();
   std::vector<SeqState> Out;
-  for (LocSet P : Cfg.Universe.subsets())
-    for (LocSet F : Cfg.Universe.subsets())
-      for (const std::vector<Value> &Mem : Mems)
-        Out.push_back(M.initial(P, F, Mem));
+  Out.reserve(Subsets.size() * Subsets.size() * NumMems);
+  for (LocSet P : Subsets)
+    for (LocSet F : Subsets)
+      for (size_t Row = 0; Row != NumMems; ++Row)
+        Out.push_back(M.initial(
+            P, F, std::span(Mems).subspan(Row * NumLocs, NumLocs)));
   return Out;
 }

@@ -73,7 +73,7 @@ bool OracleGame::runUncached(uint64_t Remaining, unsigned Id) {
     return false;
 
   // Every adversary branch must succeed.
-  const std::vector<SourceGraph::Edge> &Edges = G.edges(Id);
+  const SourceGraph::Edges &Edges = G.edges(Id);
   if (Edges.empty())
     return false;
   for (const SourceGraph::Edge &E : Edges) {

@@ -26,6 +26,7 @@
 #include "lang/Value.h"
 #include "memo/Independence.h"
 #include "support/LocSet.h"
+#include "support/NodePool.h"
 
 #include <string>
 #include <utility>
@@ -37,7 +38,7 @@ namespace pseq {
 /// gained-values map of acquire reads and the released memory M|P of
 /// release writes.
 class PartialMem {
-  std::vector<std::pair<unsigned, Value>> Entries;
+  PoolVector<std::pair<unsigned, Value>> Entries;
 
 public:
   PartialMem() = default;
@@ -46,7 +47,7 @@ public:
   const Value *lookup(unsigned Loc) const;
   LocSet domain() const;
   size_t size() const { return Entries.size(); }
-  const std::vector<std::pair<unsigned, Value>> &entries() const {
+  const PoolVector<std::pair<unsigned, Value>> &entries() const {
     return Entries;
   }
 

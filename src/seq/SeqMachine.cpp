@@ -14,18 +14,18 @@
 using namespace pseq;
 
 SeqState SeqMachine::initial(LocSet Perm, LocSet Written,
-                             std::vector<Value> Mem) const {
+                             std::span<const Value> Mem) const {
   SeqState S;
   S.Prog = ProgState::initial(Prog, Tid);
   S.Perm = Perm;
   S.Written = Written;
-  S.Mem = std::move(Mem);
+  S.Mem.assign(Mem.begin(), Mem.end());
   assert(S.Mem.size() == Prog.numLocs() && "memory size mismatch");
   return S;
 }
 
-std::vector<Value> SeqMachine::readValues(bool IncludeUndef) const {
-  std::vector<Value> Out;
+PoolVector<Value> SeqMachine::readValues(bool IncludeUndef) const {
+  PoolVector<Value> Out;
   Out.reserve(Cfg.Domain.size() + 1);
   for (int64_t V : Cfg.Domain.values())
     Out.push_back(Value::of(V));
@@ -34,12 +34,12 @@ std::vector<Value> SeqMachine::readValues(bool IncludeUndef) const {
   return Out;
 }
 
-std::vector<PartialMem> SeqMachine::partialMems(LocSet Dom) const {
-  std::vector<PartialMem> Out;
+PoolVector<PartialMem> SeqMachine::partialMems(LocSet Dom) const {
+  PoolVector<PartialMem> Out;
   Out.push_back(PartialMem());
-  std::vector<Value> Vals = readValues(/*IncludeUndef=*/true);
+  PoolVector<Value> Vals = readValues(/*IncludeUndef=*/true);
   for (unsigned Loc : Dom.members()) {
-    std::vector<PartialMem> Next;
+    PoolVector<PartialMem> Next;
     Next.reserve(Out.size() * Vals.size());
     for (const PartialMem &Base : Out) {
       for (Value V : Vals) {
@@ -56,7 +56,7 @@ std::vector<PartialMem> SeqMachine::partialMems(LocSet Dom) const {
 namespace {
 
 /// Restricts \p Mem to the locations in \p Dom (M|P in Fig. 1).
-PartialMem restrict(const std::vector<Value> &Mem, LocSet Dom) {
+PartialMem restrict(const PoolVector<Value> &Mem, LocSet Dom) {
   PartialMem Out;
   for (unsigned Loc : Dom.members())
     Out.set(Loc, Mem[Loc]);
@@ -65,8 +65,8 @@ PartialMem restrict(const std::vector<Value> &Mem, LocSet Dom) {
 
 } // namespace
 
-std::vector<SeqTransition> SeqMachine::successors(const SeqState &S) const {
-  std::vector<SeqTransition> Out = successorsUncounted(S);
+SeqTransitions SeqMachine::successors(const SeqState &S) const {
+  SeqTransitions Out = successorsUncounted(S);
   if (Cfg.Telem) {
     Cfg.Telem->Counters.add("seq.machine.successor_calls");
     Cfg.Telem->Counters.add("seq.machine.transitions", Out.size());
@@ -74,9 +74,8 @@ std::vector<SeqTransition> SeqMachine::successors(const SeqState &S) const {
   return Out;
 }
 
-std::vector<SeqTransition>
-SeqMachine::successorsUncounted(const SeqState &S) const {
-  std::vector<SeqTransition> Out;
+SeqTransitions SeqMachine::successorsUncounted(const SeqState &S) const {
+  SeqTransitions Out;
   if (S.Prog.status() != ProgState::Status::Running)
     return Out;
 
@@ -206,9 +205,9 @@ SeqMachine::successorsUncounted(const SeqState &S) const {
       // Resolve the read part's permission effect.
       struct ReadCase {
         SeqState State;
-        std::vector<SeqEvent> Labels;
+        SeqLabels Labels;
       };
-      std::vector<ReadCase> ReadCases;
+      PoolVector<ReadCase> ReadCases;
       if (Pend.RM == ReadMode::ACQ) {
         for (LocSet P2 : S.Perm.supersetsWithin(Cfg.Universe)) {
           for (PartialMem &Vm : partialMems(P2.setMinus(S.Perm))) {

@@ -31,6 +31,8 @@
 #include "seq/SeqState.h"
 #include "support/ValueDomain.h"
 
+#include <span>
+
 namespace pseq {
 
 namespace obs {
@@ -83,12 +85,18 @@ struct SeqConfig {
   uint64_t ConfigSalt = 0;
 };
 
-/// One SEQ transition: zero, one, or (for RMWs) two trace labels, plus the
-/// successor state.
+/// The labels of one SEQ transition: zero, one, or (for RMWs) two.
+using SeqLabels = PoolVector<SeqEvent>;
+
+/// One SEQ transition: its trace labels plus the successor state.
 struct SeqTransition {
-  std::vector<SeqEvent> Labels;
+  SeqLabels Labels;
   SeqState Next;
 };
+
+/// Every transition from one state, in successors() order. Labels, states
+/// and the list itself come from the node pool (support/NodePool.h).
+using SeqTransitions = PoolVector<SeqTransition>;
 
 /// The SEQ transition relation for one thread of one program.
 class SeqMachine {
@@ -106,10 +114,10 @@ public:
 
   /// \returns ⟨σ_init, P, F, M⟩ for thread Tid.
   SeqState initial(LocSet Perm, LocSet Written,
-                   std::vector<Value> Mem) const;
+                   std::span<const Value> Mem) const;
 
   /// Enumerates every transition from \p S (empty for terminal states).
-  std::vector<SeqTransition> successors(const SeqState &S) const;
+  SeqTransitions successors(const SeqState &S) const;
 
   /// The pending program action of \p S (valid for Running states); used by
   /// the refinement matcher to group adversary branches.
@@ -119,14 +127,14 @@ public:
 
   /// Values a read/choice may resolve to: Domain values, plus undef when
   /// \p IncludeUndef.
-  std::vector<Value> readValues(bool IncludeUndef) const;
+  PoolVector<Value> readValues(bool IncludeUndef) const;
 
   /// All partial memories over \p Dom with values from Domain ∪ {undef}.
-  std::vector<PartialMem> partialMems(LocSet Dom) const;
+  PoolVector<PartialMem> partialMems(LocSet Dom) const;
 
 private:
   /// successors() minus the telemetry accounting.
-  std::vector<SeqTransition> successorsUncounted(const SeqState &S) const;
+  SeqTransitions successorsUncounted(const SeqState &S) const;
 };
 
 } // namespace pseq

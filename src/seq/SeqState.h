@@ -18,6 +18,7 @@
 
 #include "lang/ProgState.h"
 #include "support/LocSet.h"
+#include "support/NodePool.h"
 
 namespace pseq {
 
@@ -26,8 +27,8 @@ struct SeqState {
   ProgState Prog; ///< σ (⊥ encoded as ProgState::Status::Error)
   LocSet Perm;    ///< P ⊆ Loc_na
   LocSet Written; ///< F ⊆ Loc_na (written since the last release)
-  std::vector<Value> Mem; ///< M : Loc_na → Val (indexed by location id;
-                          ///< entries for atomic locations are unused)
+  PoolVector<Value> Mem; ///< M : Loc_na → Val (indexed by location id;
+                         ///< entries for atomic locations are unused)
 
   bool isBottom() const { return Prog.isError(); }
   bool isTerminated() const { return Prog.isDone(); }

@@ -31,17 +31,17 @@ unsigned SourceGraph::intern(SeqState S) {
   return size() - 1;
 }
 
-const std::vector<SourceGraph::Edge> &SourceGraph::edges(unsigned Id) {
+const SourceGraph::Edges &SourceGraph::edges(unsigned Id) {
   if (Nodes[Id].Expanded)
-    return Nodes[Id].Edges;
-  std::vector<SeqTransition> Succs = M.successors(Nodes[Id].S);
-  std::vector<Edge> Out;
+    return Nodes[Id].Out;
+  SeqTransitions Succs = M.successors(Nodes[Id].S);
+  Edges Out;
   Out.reserve(Succs.size());
   for (SeqTransition &T : Succs) {
     unsigned Next = intern(std::move(T.Next));
     Out.push_back(Edge{std::move(T.Labels), Next});
   }
-  Nodes[Id].Edges = std::move(Out);
+  Nodes[Id].Out = std::move(Out);
   Nodes[Id].Expanded = true;
-  return Nodes[Id].Edges;
+  return Nodes[Id].Out;
 }

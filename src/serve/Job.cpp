@@ -240,6 +240,7 @@ bool pseq::serve::cachedVerdict(const JobRequest &Req, const memo::Fp128 &Fp,
   R.PeakRssKb = 0;
   R.UserMs = 0.0;
   R.SysMs = 0.0;
+  R.MinorFaults = 0;
   R.ElapsedMs = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
@@ -338,6 +339,7 @@ JobResult pseq::serve::runJob(const JobRequest &Req, const memo::Fp128 &Fp,
     R.PeakRssKb = IR.PeakRssKb;
     R.UserMs = IR.UserMs;
     R.SysMs = IR.SysMs;
+    R.MinorFaults = IR.MinorFaults;
 
     switch (IR.Status) {
     case guard::IsolateStatus::Ok: {
@@ -347,6 +349,7 @@ JobResult pseq::serve::runJob(const JobRequest &Req, const memo::Fp128 &Fp,
         Parsed.PeakRssKb = R.PeakRssKb;
         Parsed.UserMs = R.UserMs;
         Parsed.SysMs = R.SysMs;
+        Parsed.MinorFaults = R.MinorFaults;
         R = Parsed;
         HaveVerdict = true;
       }

@@ -97,6 +97,8 @@ struct JobResult {
   uint64_t PeakRssKb = 0; ///< worker peak RSS (isolated jobs only)
   double UserMs = 0.0;    ///< worker user CPU (isolated jobs only)
   double SysMs = 0.0;     ///< worker system CPU (isolated jobs only)
+  /// Worker minor page faults (isolated jobs only; not sent on the wire).
+  uint64_t MinorFaults = 0;
 };
 
 // --- encoding ---------------------------------------------------------

@@ -269,6 +269,7 @@ void Server::recordResult(const JobResult &R, const JobTrace &Trace) {
                                std::memory_order_relaxed);
   Tally.WorkerSysMs.fetch_add(static_cast<uint64_t>(R.SysMs),
                               std::memory_order_relaxed);
+  Tally.WorkerMinorFaults.fetch_add(R.MinorFaults, std::memory_order_relaxed);
   uint64_t Rss = Tally.WorkerPeakRssKb.load(std::memory_order_relaxed);
   while (Rss < R.PeakRssKb && !Tally.WorkerPeakRssKb.compare_exchange_weak(
                                   Rss, R.PeakRssKb,
@@ -322,6 +323,7 @@ void Server::statsSnapshot(std::map<std::string, uint64_t> &Counters,
   Counters["serve.chaos.injected"] = L(T.ChaosInjected);
   Counters["serve.worker.user_ms"] = L(T.WorkerUserMs);
   Counters["serve.worker.sys_ms"] = L(T.WorkerSysMs);
+  Counters["serve.worker.minflt"] = L(T.WorkerMinorFaults);
   Counters["serve.snapshot.loaded"] = L(T.SnapshotLoaded);
   Counters["serve.snapshot.saved"] = L(T.SnapshotSaved);
   uint64_t Spawns = 0;

@@ -98,6 +98,7 @@ struct ServerTallies {
   std::atomic<uint64_t> QueuePeak{0};
   std::atomic<uint64_t> WorkerUserMs{0};
   std::atomic<uint64_t> WorkerSysMs{0};
+  std::atomic<uint64_t> WorkerMinorFaults{0};
   std::atomic<uint64_t> WorkerPeakRssKb{0}; ///< max over jobs
   std::atomic<uint64_t> SnapshotLoaded{0};
   std::atomic<uint64_t> SnapshotSaved{0};

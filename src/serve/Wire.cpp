@@ -16,6 +16,9 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+#ifndef MSG_NOSIGNAL
+#define MSG_NOSIGNAL 0 // no per-call flag (macOS): a dead peer raises SIGPIPE
+#endif
 #endif
 
 using namespace pseq;
@@ -44,7 +47,9 @@ void setErr(std::string *Err, const std::string &Msg, bool WithErrno = true) {
 /// Full write with EINTR/short-write handling.
 bool writeAll(int Fd, const char *Data, size_t Len, std::string *Err) {
   while (Len) {
-    ssize_t N = write(Fd, Data, Len);
+    // MSG_NOSIGNAL: a peer that hung up fails the write with EPIPE
+    // instead of killing the process with SIGPIPE.
+    ssize_t N = send(Fd, Data, Len, MSG_NOSIGNAL);
     if (N < 0) {
       if (errno == EINTR)
         continue;

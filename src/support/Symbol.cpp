@@ -7,25 +7,23 @@
 
 #include "support/Symbol.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pseq;
 
 unsigned SymbolTable::intern(const std::string &Name) {
-  auto It = Index.find(Name);
-  if (It != Index.end())
-    return It->second;
-  unsigned Idx = static_cast<unsigned>(Names.size());
+  if (std::optional<unsigned> Idx = lookup(Name))
+    return *Idx;
   Names.push_back(Name);
-  Index.emplace(Name, Idx);
-  return Idx;
+  return size() - 1;
 }
 
 std::optional<unsigned> SymbolTable::lookup(const std::string &Name) const {
-  auto It = Index.find(Name);
-  if (It == Index.end())
+  auto It = std::find(Names.begin(), Names.end(), Name);
+  if (It == Names.end())
     return std::nullopt;
-  return It->second;
+  return static_cast<unsigned>(It - Names.begin());
 }
 
 const std::string &SymbolTable::name(unsigned Idx) const {

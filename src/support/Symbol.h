@@ -18,15 +18,15 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pseq {
 
-/// Maps names to dense indices, preserving insertion order.
+/// Maps names to dense indices, preserving insertion order. A table holds
+/// one program's registers or locations (at most LocSet::MaxLocs of the
+/// latter), so lookups scan the names: no index to build, copy or free.
 class SymbolTable {
   std::vector<std::string> Names;
-  std::unordered_map<std::string, unsigned> Index;
 
 public:
   /// \returns the index of \p Name, interning it on first use.

@@ -12,6 +12,16 @@
 
 using namespace pseq;
 
+ValueDomain ValueDomain::binary() {
+  static const ValueDomain D(std::vector<int64_t>{0, 1});
+  return D;
+}
+
+ValueDomain ValueDomain::ternary() {
+  static const ValueDomain D(std::vector<int64_t>{0, 1, 2});
+  return D;
+}
+
 ValueDomain ValueDomain::upTo(int64_t N) {
   assert(N > 0 && "value domain must be non-empty");
   std::vector<int64_t> Vs;
@@ -22,5 +32,5 @@ ValueDomain ValueDomain::upTo(int64_t N) {
 }
 
 bool ValueDomain::contains(int64_t V) const {
-  return std::find(Vals.begin(), Vals.end(), V) != Vals.end();
+  return std::find(Vals->begin(), Vals->end(), V) != Vals->end();
 }

@@ -20,27 +20,32 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pseq {
 
 /// A finite set of defined integer values used to bound enumeration.
+/// Immutable once built: copies share one value list, so copying a domain
+/// (every SeqConfig/PsConfig copy does) never allocates. The binary and
+/// ternary domains are built once per process.
 class ValueDomain {
-  std::vector<int64_t> Vals;
+  std::shared_ptr<const std::vector<int64_t>> Vals;
 
 public:
-  ValueDomain() : Vals({0, 1}) {}
-  explicit ValueDomain(std::vector<int64_t> Vs) : Vals(std::move(Vs)) {}
+  ValueDomain() : ValueDomain(binary()) {}
+  explicit ValueDomain(std::vector<int64_t> Vs)
+      : Vals(std::make_shared<const std::vector<int64_t>>(std::move(Vs))) {}
 
   /// The default domain used by tests: {0, 1}.
-  static ValueDomain binary() { return ValueDomain({0, 1}); }
+  static ValueDomain binary();
   /// The domain used by the paper-example suites: {0, 1, 2}.
-  static ValueDomain ternary() { return ValueDomain({0, 1, 2}); }
+  static ValueDomain ternary();
   /// {0, ..., N-1}.
   static ValueDomain upTo(int64_t N);
 
-  const std::vector<int64_t> &values() const { return Vals; }
-  size_t size() const { return Vals.size(); }
+  const std::vector<int64_t> &values() const { return *Vals; }
+  size_t size() const { return Vals->size(); }
   bool contains(int64_t V) const;
 };
 

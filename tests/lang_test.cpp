@@ -480,3 +480,40 @@ TEST(CloneProgramTest, ClonesLayoutThreadsAndBehavior) {
         stmtStructurallyEquals(P->thread(T).Body, Q->thread(T).Body));
   EXPECT_EQ(printProgram(*P), printProgram(*Q));
 }
+
+// A program's Expr and Stmt nodes live in chunked arenas: growing them
+// past many chunks must never move a node. Pointers taken before the
+// growth still see the same trees and print the same text.
+TEST(ProgramArenaTest, NodesNeverMove) {
+  auto P = prog("na x; atomic z;\n"
+                "thread { a := 1; while (a < 3) { x@na := a + 1; "
+                "a := x@na; } if (a == 3) { z@rel := a * 2; } "
+                "else { abort; } return a; }");
+  std::unique_ptr<Program> Ref = cloneProgram(*P);
+  const Program::ThreadCode &T = P->thread(0);
+  const Stmt *Body = T.Body;
+  const Expr *Sum = P->exprBin(BinOp::Add, P->exprReg(0), P->exprConst(7));
+  const Expr *RefSum =
+      Ref->exprBin(BinOp::Add, Ref->exprReg(0), Ref->exprConst(7));
+  const std::string BodyText = printStmt(Body, *P, T.Regs);
+  const std::string SumText = printExpr(Sum, T.Regs);
+
+  std::vector<const Stmt *> Clones;
+  std::vector<const Expr *> Exprs;
+  for (int I = 0; I != 500; ++I) {
+    Clones.push_back(P->cloneStmt(Body));
+    Exprs.push_back(P->exprBin(BinOp::Mul, Sum, P->exprConst(I)));
+  }
+
+  EXPECT_TRUE(stmtStructurallyEquals(Body, Ref->thread(0).Body));
+  EXPECT_EQ(printStmt(Body, *P, T.Regs), BodyText);
+  EXPECT_TRUE(Sum->structurallyEquals(*RefSum));
+  EXPECT_EQ(printExpr(Sum, T.Regs), SumText);
+  for (int I = 0; I != 500; ++I) {
+    EXPECT_TRUE(stmtStructurallyEquals(Clones[I], Body)) << I;
+    EXPECT_EQ(printExpr(Exprs[I], T.Regs),
+              "(" + SumText + ") * " + std::to_string(I))
+        << I;
+  }
+  EXPECT_EQ(printProgram(*P), printProgram(*Ref));
+}

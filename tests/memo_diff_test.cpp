@@ -21,6 +21,7 @@
 #include "guard/Guard.h"
 #include "litmus/Corpus.h"
 #include "memo/MemoContext.h"
+#include "memo/VisitedSet.h"
 #include "psna/Explorer.h"
 #include "seq/BehaviorEnum.h"
 #include "seq/SimpleRefinement.h"
@@ -397,4 +398,54 @@ TEST(MemoDiff, SeqConfigSaltPartitionsTheCache) {
   seqSweep(*P, Cfg);
   EXPECT_EQ(MC.misses(), 2 * M1);
   EXPECT_GT(MC.hits(), Hits);
+}
+
+// --- The pruned explorer's visited table --------------------------------
+
+// memo::VisitedSet directly: a new key stores its mask, a merge intersects
+// and reports a strict shrink, growth rehashes every entry, and the
+// reserved all-zero fingerprint is stored as its sealed stand-in.
+TEST(VisitedSetTest, InsertMergeGrowAndSeal) {
+  memo::VisitedSet V;
+  memo::Fp128 A{0x1234, 0x5678};
+
+  memo::VisitedSet::Outcome O = V.insertOrMerge(A, 0b1011);
+  EXPECT_TRUE(O.Inserted);
+  EXPECT_FALSE(O.Shrunk);
+  EXPECT_EQ(O.Mask, 0b1011u);
+  EXPECT_EQ(V.size(), 1u);
+
+  O = V.insertOrMerge(A, 0b0011); // drops bit 3: shrinks
+  EXPECT_FALSE(O.Inserted);
+  EXPECT_TRUE(O.Shrunk);
+  EXPECT_EQ(O.Mask, 0b0011u);
+
+  O = V.insertOrMerge(A, 0b1111); // a superset: the stored mask stays
+  EXPECT_FALSE(O.Inserted);
+  EXPECT_FALSE(O.Shrunk);
+  EXPECT_EQ(O.Mask, 0b0011u);
+  EXPECT_EQ(V.size(), 1u);
+
+  // Far more keys than the 16 slots the table starts with; keys that
+  // share a Hi lane probe the same run of slots, and only both lanes
+  // together identify a key.
+  const uint32_t N = 1000;
+  for (uint32_t I = 1; I <= N; ++I)
+    EXPECT_TRUE(V.insertOrMerge(memo::Fp128{100 + I, I % 7}, I).Inserted);
+  EXPECT_EQ(V.size(), N + 1);
+  for (uint32_t I = 1; I <= N; ++I) {
+    O = V.insertOrMerge(memo::Fp128{100 + I, I % 7}, ~0u);
+    EXPECT_FALSE(O.Inserted) << I;
+    EXPECT_EQ(O.Mask, I) << I;
+  }
+  EXPECT_EQ(V.insertOrMerge(A, ~0u).Mask, 0b0011u);
+
+  // The zero fingerprint is sealed to {1, 1} on the way in.
+  O = V.insertOrMerge(memo::Fp128{0, 0}, 0b110);
+  EXPECT_TRUE(O.Inserted);
+  O = V.insertOrMerge(memo::Fp128{1, 1}, 0b010);
+  EXPECT_FALSE(O.Inserted);
+  EXPECT_TRUE(O.Shrunk);
+  EXPECT_EQ(O.Mask, 0b010u);
+  EXPECT_EQ(V.size(), N + 2);
 }

@@ -39,7 +39,7 @@ TEST(SeqMachineTest, NaReadWithPermissionLoadsMemory) {
   Mem[0] = Value::of(1);
   SeqState S = M.initial(LocSet::single(0), LocSet::empty(), Mem);
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 1u) << "na-read is deterministic";
   EXPECT_TRUE(Succ[0].Labels.empty()) << "na accesses are unlabeled";
   EXPECT_EQ(Succ[0].Next.Prog.regs()[0], Value::of(1));
@@ -50,7 +50,7 @@ TEST(SeqMachineTest, RacyNaReadLoadsUndef) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 1u);
   EXPECT_TRUE(Succ[0].Next.Prog.regs()[0].isUndef());
   EXPECT_FALSE(Succ[0].Next.isBottom()) << "racy reads are not UB";
@@ -61,7 +61,7 @@ TEST(SeqMachineTest, NaWriteUpdatesMemoryAndWrittenSet) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::single(0), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 1u);
   EXPECT_TRUE(Succ[0].Labels.empty());
   EXPECT_EQ(Succ[0].Next.Mem[0], Value::of(1));
@@ -73,7 +73,7 @@ TEST(SeqMachineTest, RacyNaWriteIsUB) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 1u);
   EXPECT_TRUE(Succ[0].Next.isBottom()) << "racy-na-write invokes UB";
 }
@@ -83,7 +83,7 @@ TEST(SeqMachineTest, RlxReadBranchesOverDomainPlusUndef) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   // Binary domain {0,1} plus undef.
   ASSERT_EQ(Succ.size(), 3u);
   for (const SeqTransition &T : Succ) {
@@ -98,7 +98,7 @@ TEST(SeqMachineTest, RlxWriteEmitsLabelWithoutTouchingState) {
   LocSet Perm = LocSet::single(*P->lookupLoc("x"));
   SeqState S = M.initial(Perm, LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 1u);
   ASSERT_EQ(Succ[0].Labels.size(), 1u);
   EXPECT_EQ(Succ[0].Labels[0].K, SeqEvent::Kind::RlxWrite);
@@ -113,7 +113,7 @@ TEST(SeqMachineTest, AcqReadGainsPermissionsAndValues) {
   unsigned X = *P->lookupLoc("x");
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   // 3 read values × (P'=∅ (1 map) + P'={x} (3 maps)) = 12.
   ASSERT_EQ(Succ.size(), 12u);
   bool SawGain = false;
@@ -141,7 +141,7 @@ TEST(SeqMachineTest, RelWriteLosesPermissionsRecordsMemoryResetsF) {
   Mem[X] = Value::of(1);
   SeqState S = M.initial(LocSet::single(X), LocSet::single(X), Mem);
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 2u) << "P' ranges over subsets of P";
   for (const SeqTransition &T : Succ) {
     ASSERT_EQ(T.Labels.size(), 1u);
@@ -161,7 +161,7 @@ TEST(SeqMachineTest, ChooseBranchesOverDefinedValues) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 2u) << "choose never resolves to undef";
   for (const SeqTransition &T : Succ) {
     ASSERT_EQ(T.Labels.size(), 1u);
@@ -175,7 +175,7 @@ TEST(SeqMachineTest, AcquireFenceGainsLikeAcqRead) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 4u); // P'=∅ + P'={x} with 3 values
   for (const SeqTransition &T : Succ)
     EXPECT_EQ(T.Labels[0].K, SeqEvent::Kind::AcqFence);
@@ -188,7 +188,7 @@ TEST(SeqMachineTest, ReleaseFenceResetsWrittenSet) {
   S = M.successors(S)[0].Next; // the na write
   ASSERT_TRUE(S.Written.contains(0));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 2u);
   for (const SeqTransition &T : Succ) {
     EXPECT_EQ(T.Labels[0].K, SeqEvent::Kind::RelFence);
@@ -202,7 +202,7 @@ TEST(SeqMachineTest, RmwEmitsReadAndWriteLabels) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 3u); // old values {0,1,undef}
   for (const SeqTransition &T : Succ) {
     ASSERT_EQ(T.Labels.size(), 2u);
@@ -241,7 +241,7 @@ TEST(SeqMachineTest, PrintEmitsSyscallLabel) {
   SeqMachine M(*P, 0, cfg(*P));
   SeqState S = M.initial(LocSet::empty(), LocSet::empty(), zeroMem(*P));
 
-  std::vector<SeqTransition> Succ = M.successors(S);
+  SeqTransitions Succ = M.successors(S);
   ASSERT_EQ(Succ.size(), 1u);
   ASSERT_EQ(Succ[0].Labels.size(), 1u);
   EXPECT_EQ(Succ[0].Labels[0].K, SeqEvent::Kind::Syscall);
