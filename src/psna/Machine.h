@@ -46,10 +46,10 @@
 #include "exec/ThreadPool.h"
 #include "memo/Fingerprint.h"
 #include "psna/Thread.h"
+#include "support/NodePool.h"
 #include "support/ValueDomain.h"
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -192,9 +192,7 @@ struct CertVerdict {
 /// table lives for one exploration; the explorer freezes it while a level
 /// expands and inserts the verdicts of merged expansions in pop order, so
 /// which searches run is a function of the BFS level alone.
-using CertTable = std::unordered_map<
-    memo::Fp128, CertVerdict, memo::Fp128Hash, std::equal_to<memo::Fp128>,
-    PoolAllocator<std::pair<const memo::Fp128, CertVerdict>>>;
+using CertTable = PoolMap<memo::Fp128, CertVerdict, memo::Fp128Hash>;
 
 /// Rough retained bytes of one CertTable entry (key, verdict, node and
 /// bucket pointers), for ResourceGuard accounting.

@@ -33,7 +33,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <new>
+#include <unordered_map>
 #include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -153,6 +155,11 @@ template <typename T> struct PoolAllocator {
 
 /// A vector whose buffer comes from the pool.
 template <typename T> using PoolVector = std::vector<T, PoolAllocator<T>>;
+
+/// A hash map whose nodes and bucket array come from the pool.
+template <typename K, typename V, typename Hash = std::hash<K>>
+using PoolMap = std::unordered_map<K, V, Hash, std::equal_to<K>,
+                                   PoolAllocator<std::pair<const K, V>>>;
 
 } // namespace pseq
 

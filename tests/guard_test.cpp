@@ -1014,6 +1014,7 @@ TEST(ForkServerTest, CapturesChildOutputAndRusage) {
   EXPECT_EQ(R.Status, guard::IsolateStatus::Ok);
   EXPECT_EQ(Output, "payload from the child");
   EXPECT_GE(R.PeakRssKb, 4096u) << "wait4 rusage not recorded";
+  EXPECT_GT(R.MinorFaults, 0u) << "touching 4 MB faults pages in";
   EXPECT_GE(R.UserMs, 0.0);
   EXPECT_GE(R.SysMs, 0.0);
 }
