@@ -415,14 +415,8 @@ inline int benchMain(int Argc, char **Argv) {
     Telem.Counters.maxGauge("guard.checkpoint_polls",
                             static_cast<double>(Guard.checkpointPolls()));
     if (!NoMemo) {
-      memo::MemoContext::ShardStats SeqSS =
-          Memo.shardStats(memo::MemoContext::Table::SeqSuffix);
       memo::MemoContext::ShardStats PsSS =
           Memo.shardStats(memo::MemoContext::Table::PsBehaviors);
-      Telem.Counters.maxGauge("memo.seq_suffix.entries",
-                              static_cast<double>(SeqSS.Entries));
-      Telem.Counters.maxGauge("memo.seq_suffix.max_shard",
-                              static_cast<double>(SeqSS.MaxShard));
       Telem.Counters.maxGauge("memo.ps_behaviors.entries",
                               static_cast<double>(PsSS.Entries));
       Telem.Counters.maxGauge("memo.ps_behaviors.max_shard",

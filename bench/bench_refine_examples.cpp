@@ -36,7 +36,6 @@ void runCase(benchmark::State &State, const RefinementCase &RC,
   Cfg.Telem = benchsupport::telemetry();
   Cfg.NumThreads = benchsupport::numThreads();
   Cfg.Guard = benchsupport::resourceGuard();
-  Cfg.Memo = benchsupport::memoContext();
 
   RefinementResult R;
   for (auto _ : State) {
@@ -58,7 +57,6 @@ void runSimCase(benchmark::State &State, const RefinementCase &RC) {
   Cfg.Telem = benchsupport::telemetry();
   Cfg.NumThreads = benchsupport::numThreads();
   Cfg.Guard = benchsupport::resourceGuard();
-  Cfg.Memo = benchsupport::memoContext();
   SimulationResult R;
   for (auto _ : State) {
     R = checkSimulation(*Src, *Tgt, Cfg);

@@ -43,15 +43,13 @@ void runEnum(benchmark::State &State, const std::string &Text,
   Cfg.Telem = benchsupport::telemetry();
   Cfg.NumThreads = benchsupport::numThreads();
   Cfg.Guard = benchsupport::resourceGuard();
-  Cfg.Memo = benchsupport::memoContext();
   SeqMachine M(*P, 0, Cfg);
   std::vector<SeqState> Inits = enumerateInitialStates(M);
 
   unsigned long long Behaviors = 0;
   for (auto _ : State) {
     Behaviors = 0;
-    // Batch across initial states so the pool parallelizes both across and
-    // within enumerations.
+    // Batch across initial states so the pool parallelizes across them.
     for (const BehaviorSet &B : enumerateBehaviorsBatch(M, Inits))
       Behaviors += B.All.size();
     benchmark::ClobberMemory();

@@ -60,7 +60,6 @@ void BM_SeqAdvancedCheck(benchmark::State &State) {
   Cfg.Telem = benchsupport::telemetry();
   Cfg.NumThreads = benchsupport::numThreads();
   Cfg.Guard = benchsupport::resourceGuard();
-  Cfg.Memo = benchsupport::memoContext();
   bool Holds = false;
   for (auto _ : State) {
     Holds = checkAdvancedRefinement(*Src, *Tgt, Cfg).Holds;

@@ -428,7 +428,6 @@ int main(int Argc, char **Argv) {
         SCfg.Domain = RC.Domain;
         SCfg.NumThreads = 1;
         SCfg.Telem = WantTelem ? &Telem : nullptr;
-        SCfg.Memo = MemoPtr;
         SimulationResult S = checkSimulation(*P, Tid, *P, Tid, SCfg);
         SeqConfig ECfg = SCfg;
         ECfg.StepBudget = 16;

@@ -230,15 +230,13 @@ int checkPairInline(const RandomPair &Pair, const CampaignOptions &Opts,
     SeqCfg.MaxBehaviors = 500;
   }
 
-  // A fresh per-pair context: the SEQ suffix cache is shared across the
-  // simple/advanced checks and every context-library clone of this pair.
-  // Fork-isolated children construct their own (cross-pair sharing would
-  // die with the child anyway).
+  // A fresh per-pair context: the PS^na behavior-set cache is shared
+  // across every context-library clone of this pair. Fork-isolated
+  // children construct their own (cross-pair sharing would die with the
+  // child anyway).
   memo::MemoContext Memo;
-  if (Opts.UseMemo) {
-    SeqCfg.Memo = &Memo;
+  if (Opts.UseMemo)
     PsCfg.Memo = &Memo;
-  }
 
   AdequacyRecord Rec = runAdequacy(Pair.Mutation, *S.Prog, *T.Prog, SeqCfg,
                                    PsCfg, /*HasLoops=*/Seed != nullptr);

@@ -170,6 +170,5 @@ AdequacyRecord pseq::runAdequacy(const RefinementCase &RC,
   SeqCfg.Domain = RC.Domain;
   SeqCfg.StepBudget = RC.StepBudget;
   SeqCfg.Guard = PsCfg.Guard; // one guard governs both sides of the pair
-  SeqCfg.Memo = PsCfg.Memo;   // and one memo context caches both sides
   return runAdequacy(RC.Name, *Src, *Tgt, SeqCfg, PsCfg, RC.HasLoops);
 }

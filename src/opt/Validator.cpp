@@ -35,14 +35,6 @@ struct ThreadRecord {
 
 ValidationResult pseq::validateTransform(const Program &Src,
                                          const Program &Tgt, SeqConfig Cfg,
-                                         bool UseAdvanced) {
-  return validateTransform(Src, Tgt, std::move(Cfg),
-                           UseAdvanced ? ValidationMethod::Advanced
-                                       : ValidationMethod::Simple);
-}
-
-ValidationResult pseq::validateTransform(const Program &Src,
-                                         const Program &Tgt, SeqConfig Cfg,
                                          ValidationMethod Method) {
   assert(sameLayout(Src, Tgt) && "passes must preserve the memory layout");
   assert(Src.numThreads() == Tgt.numThreads() &&

@@ -106,16 +106,13 @@ struct ValidationResult {
   std::optional<analysis::RaceVerdict> Lint;
 };
 
-/// Checks σ_tgt ⊑w σ_src (or the chosen weaker/stronger notion) for every
-/// thread of the transformed program \p Tgt against \p Src.
-ValidationResult validateTransform(const Program &Src, const Program &Tgt,
-                                   SeqConfig Cfg = SeqConfig(),
-                                   bool UseAdvanced = true);
-
-/// Method-selecting overload. \p Method must be one of the per-thread SEQ
-/// procedures (Simple/Advanced/Simulation).
-ValidationResult validateTransform(const Program &Src, const Program &Tgt,
-                                   SeqConfig Cfg, ValidationMethod Method);
+/// Checks σ_tgt ⊑w σ_src (or the notion \p Method names) for every thread
+/// of the transformed program \p Tgt against \p Src. \p Method must be
+/// one of the per-thread SEQ procedures (Simple/Advanced/Simulation).
+ValidationResult
+validateTransform(const Program &Src, const Program &Tgt,
+                  SeqConfig Cfg = SeqConfig(),
+                  ValidationMethod Method = ValidationMethod::Advanced);
 
 /// Whole-program translation validation in PS^na (Def 5.3 outcome
 /// inclusion): used for register promotion and fence weakening, whose

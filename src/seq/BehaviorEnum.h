@@ -29,7 +29,7 @@
 namespace pseq {
 
 /// A deduplicated set of behaviors, canonically sorted (behaviorLess) by
-/// the enumerator so the vector is identical for every NumThreads.
+/// the enumerator, so renderings of equal sets are equal.
 struct BehaviorSet {
   std::vector<SeqBehavior> All;
   /// Which budget (if any) cut the enumeration short.
@@ -53,11 +53,8 @@ private:
   void buildIndex() const;
 };
 
-/// Enumerates the behaviors of \p Init under machine \p M. With
-/// M.config().NumThreads > 1 the root successor tree is split into
-/// frontier tasks explored by the pool; per-task results merge in task
-/// order and the set sorts canonically, so the outcome matches the
-/// single-threaded run (see DESIGN.md for the BehaviorCap caveat).
+/// Enumerates the behaviors of \p Init under machine \p M: one depth-first
+/// walk on the calling thread, whatever M.config().NumThreads says.
 BehaviorSet enumerateBehaviors(const SeqMachine &M, const SeqState &Init);
 
 /// Enumerates behaviors of every state in \p Inits (one BehaviorSet per

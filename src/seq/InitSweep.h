@@ -81,9 +81,8 @@ template <typename ResultT, typename CheckFn>
 void sweepInits(const SeqMachine &SrcM, const SeqMachine &TgtM,
                 size_t NumInits, ResultT &Result, CheckFn CheckInit) {
   const SeqConfig &Cfg = SrcM.config();
-  // A multi-threaded config with a single initial state runs it inline and
-  // parallelizes *inside* the per-state check (the enumerators fan out
-  // their subtrees).
+  // A single initial state runs inline: the per-state checks are
+  // sequential searches.
   unsigned N = exec::fanOutWidth(Cfg.NumThreads, NumInits);
   guard::ResourceGuard *G = Cfg.Guard;
   std::vector<InitRecord> Records(NumInits);

@@ -30,8 +30,8 @@ using namespace pseq::atlas;
 namespace {
 
 /// One shared build: ~320 decisions take tens of seconds on one core, so
-/// every test reads the same result. Memoization stays on so the repeated
-/// refinement sweeps inside one decision share their suffix caches.
+/// every test reads the same result. Memoization stays on, as in
+/// atlas_report, so the PS^na explorations share one behavior-set cache.
 const AtlasResult &theAtlas() {
   static memo::MemoContext Memo;
   static AtlasResult R = [] {

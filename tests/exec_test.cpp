@@ -3,20 +3,19 @@
 // Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
 //
-// Units for the thread pool and work-stealing deques, plus the property
-// the whole parallel layer is built around: every engine's result is
-// bit-identical for every NumThreads. The sweeps run each engine at
-// NumThreads 1, 2, and 8 over the corpus and 100 seeded random programs
-// and compare complete results. Also holds the BehaviorCap regression
-// tests: the enumerator must not count deduplicated re-emissions against
-// the cap (the pre-fix behavior truncated sets that fit the budget).
+// Units for the thread pool, plus the property the whole parallel layer
+// is built around: every engine's result is bit-identical for every
+// NumThreads. The sweeps run each engine at NumThreads 1, 2, and 8 over
+// the corpus and 100 seeded random programs and compare complete results.
+// Also holds the BehaviorCap regression tests: the enumerator must not
+// count deduplicated re-emissions against the cap (the pre-fix behavior
+// truncated sets that fit the budget).
 //
 //===----------------------------------------------------------------------===//
 
 #include "adequacy/Harness.h"
 #include "adequacy/RandomProgram.h"
 #include "exec/ThreadPool.h"
-#include "exec/WorkDeque.h"
 #include "litmus/Corpus.h"
 #include "obs/Telemetry.h"
 #include "opt/Validator.h"
@@ -98,42 +97,6 @@ TEST(ThreadPoolTest, BackToBackBatches) {
     exec::ThreadPool::global().run(4, [&](unsigned) { ++Count; });
     ASSERT_EQ(Count.load(), 4u) << "round " << Round;
   }
-}
-
-//===----------------------------------------------------------------------===
-// WorkDequeSet
-//===----------------------------------------------------------------------===
-
-TEST(WorkDequeTest, OwnerPopsLifo) {
-  exec::WorkDequeSet<int> D(2);
-  D.push(0, 1);
-  D.push(0, 2);
-  D.push(0, 3);
-  EXPECT_EQ(D.pop(0), 3);
-  EXPECT_EQ(D.pop(0), 2);
-  EXPECT_EQ(D.pop(0), 1);
-  EXPECT_FALSE(D.pop(0).has_value());
-}
-
-TEST(WorkDequeTest, ThiefStealsFifo) {
-  exec::WorkDequeSet<int> D(2);
-  D.push(0, 1);
-  D.push(0, 2);
-  D.push(0, 3);
-  EXPECT_EQ(D.steal(1), 1); // oldest first
-  EXPECT_EQ(D.steal(1), 2);
-  EXPECT_EQ(D.pop(0), 3);
-  EXPECT_FALSE(D.steal(1).has_value());
-}
-
-TEST(WorkDequeTest, NextPrefersOwnDeque) {
-  exec::WorkDequeSet<int> D(2);
-  D.push(0, 10);
-  D.push(1, 20);
-  EXPECT_EQ(D.next(0), 10);
-  EXPECT_EQ(D.next(0), 20); // own deque empty: steals from worker 1
-  EXPECT_FALSE(D.next(0).has_value());
-  EXPECT_EQ(D.size(), 0u);
 }
 
 //===----------------------------------------------------------------------===

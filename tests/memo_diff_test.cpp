@@ -3,15 +3,15 @@
 // Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
 //
-// The memoization layer (src/memo) is pure acceleration: canonical-state
-// suffix caching in the SEQ enumerator, sleep-set pruning and the
-// cross-run behavior cache in the PS^na explorer. This suite pins that
-// down differentially — for the whole litmus corpus and for a few hundred
-// seeded random programs, the behavior sets with memoization ON must be
-// byte-identical to the sets with it OFF, and identical across 1/2/8
-// worker threads; truncation causes must agree under deterministic
-// tripAfterPolls guards in both the tripping and non-tripping regime; and
-// repeat runs through a shared context must actually hit the caches.
+// The memoization layer (src/memo) is pure acceleration: sleep-set
+// pruning and the cross-run behavior cache in the PS^na explorer. This
+// suite pins that down differentially — for the whole litmus corpus the
+// behavior sets with memoization ON must be byte-identical to the sets
+// with it OFF, and identical across 1/2/8 worker threads; truncation
+// causes must agree under deterministic tripAfterPolls guards in both the
+// tripping and non-tripping regime; and repeat runs through a shared
+// context must actually hit the caches. The SEQ enumerator, which has no
+// memo, is swept over seeded random programs at 1/2/8 workers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -208,126 +208,26 @@ TEST(MemoDiff, PsnaTripCauseAgreesAndIsNotCached) {
 }
 
 // --- SEQ enumerator: random programs -------------------------------------
-
-TEST(MemoDiff, SeqRandomProgramsMemoOnEqualsOff) {
-  Rng R(20220607);
-  unsigned Cached = 0;
-  for (unsigned I = 0; I != 200; ++I) {
-    RandomPair Pair = randomRefinementPair(R);
-    std::unique_ptr<Program> P = prog(Pair.Src);
-
-    SeqConfig Off;
-    Off.NumThreads = 1;
-    std::string SOff = seqSweep(*P, Off);
-
-    memo::MemoContext MC;
-    SeqConfig On;
-    On.NumThreads = 1;
-    On.Memo = &MC;
-    std::string SOn = seqSweep(*P, On);
-    EXPECT_EQ(SOff, SOn) << "program " << I << ":\n" << Pair.Src;
-
-    // Second sweep through the same context: the initial-state sweep
-    // re-reaches converged states, so the suffix cache must answer.
-    uint64_t HitsBefore = MC.hits();
-    std::string SAgain = seqSweep(*P, On);
-    EXPECT_EQ(SOff, SAgain) << "program " << I;
-    if (MC.hits() > HitsBefore)
-      ++Cached;
-  }
-  // The suffix cache engages on the overwhelming majority of programs
-  // (every repeated sweep replays at least its root nodes from cache).
-  EXPECT_GE(Cached, 190u);
-}
+//
+// The SEQ enumerator has no memo; its batch fan-out must give the same
+// sets at every worker count.
 
 TEST(MemoDiff, SeqRandomProgramsThreadSweepIdentical) {
   Rng R(987654321);
   for (unsigned I = 0; I != 50; ++I) {
     RandomPair Pair = randomRefinementPair(R);
     std::unique_ptr<Program> P = prog(Pair.Src);
-    for (bool UseMemo : {false, true}) {
-      std::string Baseline;
-      for (unsigned N : {1u, 2u, 8u}) {
-        memo::MemoContext MC;
-        SeqConfig Cfg;
-        Cfg.NumThreads = N;
-        Cfg.Memo = UseMemo ? &MC : nullptr;
-        std::string S = seqSweep(*P, Cfg);
-        if (N == 1)
-          Baseline = S;
-        else
-          EXPECT_EQ(Baseline, S) << "program " << I << " threads=" << N
-                                 << " memo=" << UseMemo << ":\n"
-                                 << Pair.Src;
-      }
+    std::string Baseline;
+    for (unsigned N : {1u, 2u, 8u}) {
+      SeqConfig Cfg;
+      Cfg.NumThreads = N;
+      std::string S = seqSweep(*P, Cfg);
+      if (N == 1)
+        Baseline = S;
+      else
+        EXPECT_EQ(Baseline, S) << "program " << I << " threads=" << N << ":\n"
+                               << Pair.Src;
     }
-  }
-}
-
-TEST(MemoDiff, SeqRefinementVerdictsAgree) {
-  // End-to-end through the checker (the enumerator's main client): the
-  // simple-refinement verdict, boundedness, and cause agree memo on/off
-  // for random (source, target) pairs.
-  Rng R(424242);
-  for (unsigned I = 0; I != 100; ++I) {
-    RandomPair Pair = randomRefinementPair(R);
-    std::unique_ptr<Program> Src = prog(Pair.Src);
-    std::unique_ptr<Program> Tgt = prog(Pair.Tgt);
-
-    SeqConfig Off;
-    Off.NumThreads = 1;
-    RefinementResult ROff = checkSimpleRefinement(*Src, *Tgt, Off);
-
-    memo::MemoContext MC;
-    SeqConfig On;
-    On.NumThreads = 1;
-    On.Memo = &MC;
-    RefinementResult ROn = checkSimpleRefinement(*Src, *Tgt, On);
-
-    EXPECT_EQ(ROff.Holds, ROn.Holds) << Pair.Mutation << "\n" << Pair.Src;
-    EXPECT_EQ(ROff.Bounded, ROn.Bounded) << Pair.Mutation;
-    EXPECT_EQ(ROff.Cause, ROn.Cause) << Pair.Mutation;
-    EXPECT_EQ(ROff.Counterexample, ROn.Counterexample) << Pair.Mutation;
-  }
-}
-
-TEST(MemoDiff, SeqTripCauseAgreesUnderPollGuard) {
-  // A looping program the step budget truncates, governed by deterministic
-  // poll-count cancellation. In the tripping regime both runs must report
-  // Cancelled; in the non-tripping regime both report the step-budget
-  // outcome byte-identically.
-  std::unique_ptr<Program> P =
-      prog("atomic x;\n"
-           "thread { a := 0; while (a == 0) { a := x@rlx; } return a; }");
-  for (uint64_t Polls : {0ull, 2ull, 1ull << 20}) {
-    guard::CancellationToken TokOff, TokOn;
-    guard::ResourceGuard GOff, GOn;
-    TokOff.tripAfterPolls(Polls);
-    TokOn.tripAfterPolls(Polls);
-    GOff.setToken(&TokOff);
-    GOn.setToken(&TokOn);
-
-    SeqConfig Off;
-    Off.NumThreads = 1;
-    Off.Guard = &GOff;
-    Off = resolveUniverse(Off, *P, 0, *P, 0);
-    SeqMachine MOff(*P, 0, Off);
-    std::vector<Value> Mem(P->numLocs(), Value::of(0));
-    BehaviorSet BOff =
-        enumerateBehaviors(MOff, MOff.initial(LocSet::empty(),
-                                              LocSet::empty(), Mem));
-
-    memo::MemoContext MC;
-    SeqConfig On = Off;
-    On.Guard = &GOn;
-    On.Memo = &MC;
-    SeqMachine MOn(*P, 0, On);
-    BehaviorSet BOn = enumerateBehaviors(
-        MOn, MOn.initial(LocSet::empty(), LocSet::empty(), Mem));
-
-    EXPECT_EQ(BOff.Cause, BOn.Cause) << "polls=" << Polls;
-    if (Polls >= (1ull << 20)) // generous budget: nothing tripped
-      EXPECT_EQ(render(BOff), render(BOn));
   }
 }
 
@@ -365,39 +265,6 @@ TEST(MemoDiff, PsnaConfigSaltPartitionsTheCache) {
   // Repeating either salt now hits its own partition.
   explorePsna(*P, Cfg);
   EXPECT_GE(MC.hits(), 1u);
-}
-
-// Hits cannot distinguish partitions here: one sweep legitimately hits
-// its own fresh entries when initial states share suffixes. Misses can:
-// a salted re-sweep of identical work must redo ALL the first sweep's
-// misses (fresh partition), and a same-salt re-sweep must add none.
-TEST(MemoDiff, SeqConfigSaltPartitionsTheCache) {
-  auto P = prog("na x;\nthread { x@na := 1; a := x@na; return a; }");
-  memo::MemoContext MC;
-  SeqConfig Cfg;
-  Cfg.Memo = &MC;
-  // One worker: concurrent workers may both miss the same key before
-  // either inserts it. That duplicate miss is benign (both compute the
-  // same entry), but it makes the miss count schedule-dependent, and this
-  // test pins key partitioning through exact miss counts.
-  Cfg.NumThreads = 1;
-
-  Cfg.ConfigSalt = 0;
-  std::string First = seqSweep(*P, Cfg);
-  uint64_t M1 = MC.misses();
-  EXPECT_GE(M1, 1u);
-
-  Cfg.ConfigSalt = 0x70736571u;
-  std::string Second = seqSweep(*P, Cfg);
-  EXPECT_EQ(MC.misses(), 2 * M1)
-      << "salted enumeration answered from the unsalted suffix cache";
-  EXPECT_EQ(First, Second);
-
-  // Same salt again: fully served from its own partition.
-  uint64_t Hits = MC.hits();
-  seqSweep(*P, Cfg);
-  EXPECT_EQ(MC.misses(), 2 * M1);
-  EXPECT_GT(MC.hits(), Hits);
 }
 
 // --- The pruned explorer's visited table --------------------------------

@@ -131,7 +131,7 @@ TEST(HistogramTest, PercentileRankWalk) {
 
 TEST(HistogramTest, TimingKeyConvention) {
   EXPECT_TRUE(isTimingHistKey("psna.step.us"));
-  EXPECT_TRUE(isTimingHistKey("seq.task.us"));
+  EXPECT_TRUE(isTimingHistKey("memo.probe.us"));
   EXPECT_TRUE(isTimingHistKey("pool.idle.ns"));
   EXPECT_TRUE(isTimingHistKey("fuzz.pair.ms"));
   EXPECT_FALSE(isTimingHistKey("psna.explore.frontier"));

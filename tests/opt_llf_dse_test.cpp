@@ -125,11 +125,11 @@ TEST(DseTest, EliminatesAcrossReleaseNeedsAdvancedRefinement) {
   ASSERT_EQ(R.Rewrites, 1u);
 
   ValidationResult Advanced =
-      validateTransform(*P, *R.Prog, SeqConfig(), /*UseAdvanced=*/true);
+      validateTransform(*P, *R.Prog, SeqConfig(), ValidationMethod::Advanced);
   EXPECT_TRUE(Advanced.Ok) << Advanced.Counterexample;
 
   ValidationResult Simple =
-      validateTransform(*P, *R.Prog, SeqConfig(), /*UseAdvanced=*/false);
+      validateTransform(*P, *R.Prog, SeqConfig(), ValidationMethod::Simple);
   EXPECT_FALSE(Simple.Ok)
       << "the simple refinement must reject DSE across a release "
          "(Example 3.5) — if it passes, the checker lost precision";
@@ -218,7 +218,7 @@ TEST(DseTest, FenceLadderBlocksCombinedModes) {
     PassResult R = runDsePass(*P);
     EXPECT_EQ(R.Rewrites, 1u) << "fence = " << Fence;
     ValidationResult V = validateTransform(*P, *R.Prog, SeqConfig(),
-                                           /*UseAdvanced=*/true);
+                                           ValidationMethod::Advanced);
     EXPECT_TRUE(V.Ok) << "fence = " << Fence << ": " << V.Counterexample;
   }
   for (const char *Fence : {"fence @ acqrel;", "fence @ sc;"}) {
@@ -232,7 +232,7 @@ TEST(DseTest, FenceLadderBlocksCombinedModes) {
     auto Bad = prog(std::string("na x;\nthread { skip; ") + Fence +
                     " x@na := 2; return 0; }");
     ValidationResult V = validateTransform(*P, *Bad, SeqConfig(),
-                                           /*UseAdvanced=*/true);
+                                           ValidationMethod::Advanced);
     EXPECT_FALSE(V.Ok) << "fence = " << Fence
                        << ": DSE across a combined fence must be rejected "
                           "(atlas fence ladder)";

@@ -225,7 +225,7 @@ TEST(SlfTest, FenceLadderTreatsCombinedModesAsBothHalves) {
     PassResult R = runSlfPass(*P);
     EXPECT_EQ(R.Rewrites, 1u) << "fence = " << Fence;
     ValidationResult V = validateTransform(*P, *R.Prog, SeqConfig(),
-                                           /*UseAdvanced=*/true);
+                                           ValidationMethod::Advanced);
     EXPECT_TRUE(V.Ok) << "fence = " << Fence << ": " << V.Counterexample;
   }
   for (const char *Fence : {"fence @ acqrel;", "fence @ sc;"}) {
@@ -239,7 +239,7 @@ TEST(SlfTest, FenceLadderTreatsCombinedModesAsBothHalves) {
     auto Bad = prog(std::string("na x;\nthread { x@na := 1; ") + Fence +
                     " b := 1; return b; }");
     ValidationResult V = validateTransform(*P, *Bad, SeqConfig(),
-                                           /*UseAdvanced=*/true);
+                                           ValidationMethod::Advanced);
     EXPECT_FALSE(V.Ok) << "fence = " << Fence
                        << ": forwarding across a combined fence must be "
                           "rejected (atlas fence ladder)";

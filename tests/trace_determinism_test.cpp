@@ -36,7 +36,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <string_view>
 
 using namespace pseq;
 
@@ -62,16 +61,12 @@ std::string histFingerprint(const obs::Histogram &H) {
   return F;
 }
 
-/// Multiset of the span names \p Spans recorded. seq.task spans are left
-/// out: the SEQ enumerator's phase-1 frontier split targets N*4 tasks, so
-/// the task count is a function of the worker count by design (only the
-/// merged *results* are invariant).
+/// Multiset of the span names \p Spans recorded.
 std::map<std::string, uint64_t> spanNames(const obs::SpanRecorder &Spans) {
   std::map<std::string, uint64_t> Out;
   for (unsigned L = 0; L < Spans.lanes(); ++L)
     for (const obs::SpanRecord &S : Spans.lane(L))
-      if (std::string_view(S.Name) != "seq.task")
-        ++Out[S.Name];
+      ++Out[S.Name];
   return Out;
 }
 
