@@ -106,10 +106,14 @@ struct PsConfig {
   /// cache keyed by (program, config) fingerprints. Null — the default —
   /// keeps the exact unpruned paths.
   memo::MemoContext *Memo = nullptr;
-  /// Cache-partitioning salt mixed into the behavior-cache key (see
-  /// SeqConfig::ConfigSalt): callers sharing one MemoContext across
-  /// different pipeline/atlas configurations set it to a hash of the
-  /// active setup so stale cross-configuration hits are impossible.
+  /// Cache-partitioning salt mixed into the behavior-cache key and into
+  /// every key built from this config (the atlas's verdicts, the
+  /// pipeline's salt that the validation server keys its verdicts on), so
+  /// entries recorded under one setup can never be served to another.
+  /// Callers sharing one MemoContext across different pipeline/atlas
+  /// configurations set it to a hash of the active setup (runPipeline
+  /// uses pipelineConfigSalt); 0 — the default — is a valid shared
+  /// partition.
   uint64_t ConfigSalt = 0;
 };
 
