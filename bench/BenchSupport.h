@@ -9,7 +9,7 @@
 /// Shared entry point for the bench_* binaries. Every harness accepts
 ///
 ///   bench_xxx [--json <path>] [--threads N] [--deadline-ms N] [--mem-mb N]
-///             [--no-memo] [--trace <path>] [--trace-out <path>]
+///             [--no-memo] [--trace-out <path>]
 ///             [--heartbeat <path>] [--heartbeat-ms N]
 ///             [google-benchmark flags...]
 ///
@@ -24,15 +24,15 @@
 /// silent 0.
 ///
 /// The flight-recorder flags:
-///  * --trace <path>      — JSONL event trace (same stream PSEQ_TRACE
-///                          selects; the flag wins over the env var).
 ///  * --trace-out <path>  — Chrome trace-event / Perfetto JSON built from
-///                          the engines' causal spans, written at exit.
+///                          the engines' causal spans and instant events,
+///                          written at exit and ending in a run.final
+///                          instant with every counter and gauge.
 ///  * --heartbeat <path>  — progress JSONL sampled by a background thread
 ///                          every --heartbeat-ms (default 500) from the
 ///                          pool/guard/memo/span gauges.
 ///
-/// Without any of --json/--trace/--trace-out/--heartbeat the run is
+/// Without any of --json/--trace-out/--heartbeat the run is
 /// byte-for-byte the plain google-benchmark harness: telemetry() returns
 /// null, so every engine stays on its uninstrumented fast path. With any of
 /// them, telemetry is enabled; with --json one JSON object is written to
@@ -54,12 +54,12 @@
 #include "guard/Signals.h"
 #include "memo/MemoContext.h"
 #include "obs/Heartbeat.h"
+#include "obs/JsonValue.h"
 #include "obs/Report.h"
 #include "opt/Validator.h"
 #include "obs/Span.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceExport.h"
-#include "obs/TraceSink.h"
 #include "support/AtomicFile.h"
 #include "support/CliArgs.h"
 #include "support/Truncation.h"
@@ -214,7 +214,7 @@ inline bool writeJson(const std::string &Path, const std::vector<Row> &Rows,
 /// writes run timings plus the telemetry report as a single JSON object to
 /// the path.
 inline int benchMain(int Argc, char **Argv) {
-  std::string JsonPath, TracePath, TraceOutPath, HeartbeatPath;
+  std::string JsonPath, TraceOutPath, HeartbeatPath;
   uint64_t DeadlineMs = 0, MemMb = 0, HeartbeatMs = 500;
   bool NoMemo = false;
   std::vector<char *> Args;
@@ -229,7 +229,7 @@ inline int benchMain(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "usage: %s [--json <path>] [--threads N] [--method NAME] "
                  "[--deadline-ms N] "
-                 "[--mem-mb N] [--no-memo] [--trace <path>] "
+                 "[--mem-mb N] [--no-memo] "
                  "[--trace-out <path>] [--heartbeat <path>] "
                  "[--heartbeat-ms N] [google-benchmark flags...]\n",
                  Argc ? Argv[0] : "bench");
@@ -248,18 +248,10 @@ inline int benchMain(int Argc, char **Argv) {
       JsonPath = Value;
       continue;
     }
-    // --trace-out before --trace: flagValue matches whole flag names only,
-    // but keeping the longer spelling first reads unambiguously.
     if (cli::flagValue(Argc, Argv, I, "--trace-out", Value)) {
       if (!Value || !*Value)
         return usageError("--trace-out", Value);
       TraceOutPath = Value;
-      continue;
-    }
-    if (cli::flagValue(Argc, Argv, I, "--trace", Value)) {
-      if (!Value || !*Value)
-        return usageError("--trace", Value);
-      TracePath = Value;
       continue;
     }
     if (cli::flagValue(Argc, Argv, I, "--heartbeat-ms", Value)) {
@@ -340,15 +332,12 @@ inline int benchMain(int Argc, char **Argv) {
     detail::guardSlot() = &Guard;
   }
 
-  const bool WantTelemetry = !JsonPath.empty() || !TracePath.empty() ||
-                             !TraceOutPath.empty() || !HeartbeatPath.empty();
+  const bool WantTelemetry = !JsonPath.empty() || !TraceOutPath.empty() ||
+                             !HeartbeatPath.empty();
   obs::Telemetry Telem;
   obs::SpanRecorder Spans;
-  std::unique_ptr<obs::TraceSink> Sink;
   obs::Heartbeat Beat;
   if (WantTelemetry) {
-    Sink = obs::traceSinkFromFlagOrEnv(TracePath);
-    Telem.Sink = Sink.get();
     if (!TraceOutPath.empty())
       Telem.Spans = &Spans;
     detail::telemetrySlot() = &Telem;
@@ -422,13 +411,14 @@ inline int benchMain(int Argc, char **Argv) {
       Telem.Counters.maxGauge("memo.ps_behaviors.max_shard",
                               static_cast<double>(PsSS.MaxShard));
     }
-    Telem.finalSnapshot(Guard.stopped() ? truncationCauseName(Guard.cause())
-                        : guard::shutdownRequested() ? "shutdown-signal"
-                                                     : "complete");
   }
 
+  const char *Reason = Guard.stopped() ? truncationCauseName(Guard.cause())
+                       : guard::shutdownRequested() ? "shutdown-signal"
+                                                    : "complete";
   if (!TraceOutPath.empty() &&
-      !obs::writeChromeTrace(Spans, TraceOutPath, Argc ? Argv[0] : "bench")) {
+      !obs::writeChromeTrace(Telem, TraceOutPath, Argc ? Argv[0] : "bench",
+                             Reason)) {
     std::fprintf(stderr, "error: cannot write %s\n", TraceOutPath.c_str());
     return 1;
   }

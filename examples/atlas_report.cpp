@@ -6,28 +6,29 @@
 // Enumerates and decides the full transformation atlas (src/atlas) and
 // prints per-category tallies. With --markdown the rendered golden table
 // goes to stdout instead, byte-equal to tests/golden/atlas.md. With
-// PSEQ_TRACE=<path> the run's telemetry streams to <path> as JSONL and
-// ends in a run.final record carrying the atlas.* counters, which the CI
-// baseline gate reads (tools/check_bench_baseline.py --group atlas).
+// --trace-out <path> the run's Chrome trace-event / Perfetto JSON is
+// written to <path>; it ends in a run.final instant carrying the atlas.*
+// counters, which the CI baseline gate reads
+// (tools/check_bench_baseline.py --group atlas).
 //
 //===----------------------------------------------------------------------===//
 
 #include "atlas/Atlas.h"
 #include "exec/ThreadPool.h"
 #include "obs/Telemetry.h"
-#include "obs/TraceSink.h"
+#include "obs/TraceExport.h"
 #include "support/CliArgs.h"
 
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 
 using namespace pseq;
 
 int main(int Argc, char **Argv) {
   bool Markdown = false;
+  std::string TraceOutPath;
   atlas::AtlasOptions Opts;
   for (int I = 1; I < Argc; ++I) {
     const char *Value = nullptr;
@@ -41,20 +42,29 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "atlas_report: %s\n", Err.c_str());
         return 2;
       }
+    } else if (cli::flagValue(Argc, Argv, I, "--trace-out", Value) && Value &&
+               *Value) {
+      TraceOutPath = Value;
     } else {
-      std::fprintf(stderr,
-                   "usage: atlas_report [--markdown] [--threads N]\n");
+      std::fprintf(stderr, "usage: atlas_report [--markdown] [--threads N] "
+                           "[--trace-out PATH]\n");
       return 2;
     }
   }
 
   obs::Telemetry Telem;
-  std::unique_ptr<obs::TraceSink> Sink = obs::traceSinkFromEnv();
-  Telem.Sink = Sink.get();
-  if (Sink)
+  obs::SpanRecorder Spans;
+  if (!TraceOutPath.empty()) {
+    Telem.Spans = &Spans;
     Opts.Telem = &Telem;
+  }
   atlas::AtlasResult R = atlas::buildAtlas(Opts);
-  Telem.finalSnapshot("complete");
+  if (!TraceOutPath.empty() &&
+      !obs::writeChromeTrace(Telem, TraceOutPath, "atlas_report",
+                             "complete")) {
+    std::fprintf(stderr, "error: cannot write %s\n", TraceOutPath.c_str());
+    return 1;
+  }
   if (Markdown) {
     std::fputs(atlas::renderAtlasMarkdown(R).c_str(), stdout);
     return 0;

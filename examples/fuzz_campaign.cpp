@@ -11,7 +11,7 @@
 //                 [--deadline-ms N] [--mem-mb N]
 //                 [--wall-ms N] [--total-ms N] [--no-isolate] [--no-shrink]
 //                 [--no-memo] [--fault crash|oom|hang] [--inject-at N]
-//                 [--trace PATH] [--trace-out PATH] [--verbose]
+//                 [--trace-out PATH] [--verbose]
 //
 // --seed-corpus selects where pairs come from: the default random
 // single-thread stream, or "realworld" to mutate the lock-free protocol
@@ -20,11 +20,11 @@
 // error). --fault
 // injects one artificial child failure (self-test of the isolation and
 // classification machinery); it requires isolation, and --wall-ms then
-// bounds the injected pair alone. --trace (or
-// PSEQ_TRACE=<path>; the flag wins) writes a JSONL event per pair, flushed
-// after every crashed/limited child so the record survives a dying parent;
-// --trace-out writes a Chrome trace-event / Perfetto JSON with one span
-// per pair. Exit status: 0 when the campaign is clean, 1 on mismatches or
+// bounds the injected pair alone. --trace-out writes a Chrome trace-event /
+// Perfetto JSON with one span and one fuzz.pair instant per pair, ending in
+// a run.final instant with the campaign's counters; it is also rewritten
+// after every crashed/limited child, so the record survives a dying
+// parent. Exit status: 0 when the campaign is clean, 1 on mismatches or
 // unclassified crashes (real findings).
 //
 //===----------------------------------------------------------------------===//
@@ -35,7 +35,6 @@
 #include "obs/Span.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceExport.h"
-#include "obs/TraceSink.h"
 #include "support/CliArgs.h"
 
 #include <cstdio>
@@ -55,8 +54,7 @@ int usage(const char *Prog, const char *What, const char *Value) {
                "[--deadline-ms N] "
                "[--mem-mb N] [--wall-ms N] [--total-ms N] [--no-isolate] "
                "[--no-shrink] [--no-memo] [--fault crash|oom|hang] "
-               "[--inject-at N] [--trace PATH] [--trace-out PATH] "
-               "[--verbose]\n",
+               "[--inject-at N] [--trace-out PATH] [--verbose]\n",
                Prog);
   return 2;
 }
@@ -66,7 +64,7 @@ int usage(const char *Prog, const char *What, const char *Value) {
 int main(int Argc, char **Argv) {
   const char *Prog = Argc ? Argv[0] : "fuzz_campaign";
   CampaignOptions Opts;
-  std::string TracePath, TraceOutPath;
+  std::string TraceOutPath;
 
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
@@ -109,10 +107,6 @@ int main(int Argc, char **Argv) {
       if (!*Value)
         return usage(Prog, "--trace-out", Value);
       TraceOutPath = Value;
-    } else if (flagValue("--trace")) {
-      if (!*Value)
-        return usage(Prog, "--trace", Value);
-      TracePath = Value;
     } else if (flagValue("--fault")) {
       if (std::strcmp(Value, "crash") == 0)
         Opts.Fault = FaultKind::Crash;
@@ -147,11 +141,10 @@ int main(int Argc, char **Argv) {
 
   obs::Telemetry Telem;
   obs::SpanRecorder Spans;
-  std::unique_ptr<obs::TraceSink> Sink = obs::traceSinkFromFlagOrEnv(TracePath);
-  Telem.Sink = Sink.get();
   if (!TraceOutPath.empty())
     Telem.Spans = &Spans;
   Opts.Telem = &Telem;
+  Opts.TraceOutPath = TraceOutPath;
 
   std::printf("fuzz campaign: seed=%llu count=%u corpus=%s isolation=%s\n",
               static_cast<unsigned long long>(Opts.Seed), Opts.Count,
@@ -171,11 +164,11 @@ int main(int Argc, char **Argv) {
   std::printf("  isolated %u\n", S.Isolated);
   for (const std::string &F : S.Findings)
     std::printf("\nFINDING %s\n", F.c_str());
-  Telem.finalSnapshot(S.Interrupted ? "shutdown-signal"
-                      : S.clean()   ? "complete"
-                                    : "findings");
   if (!TraceOutPath.empty() &&
-      !obs::writeChromeTrace(Spans, TraceOutPath, "fuzz_campaign")) {
+      !obs::writeChromeTrace(Telem, TraceOutPath, "fuzz_campaign",
+                             S.Interrupted ? "shutdown-signal"
+                             : S.clean()   ? "complete"
+                                           : "findings")) {
     std::fprintf(stderr, "error: cannot write %s\n", TraceOutPath.c_str());
     return 2;
   }

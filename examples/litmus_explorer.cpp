@@ -36,16 +36,15 @@
 //   --sweep N        corpus mode only: explore the whole corpus N times
 //                    sharing one memo context and one telemetry registry
 //                    (litmus.sweeps counts them)
-//   --trace PATH     JSONL event trace (the stream PSEQ_TRACE selects; the
-//                    flag wins over the env var). It ends in a run.final
-//                    record holding every counter and gauge of the run —
-//                    states explored, memo hits/misses/pruned, the
-//                    promise-free skips (psna.promise_free_skips), the
-//                    litmus.lint.*, realworld.* and litmus.sim.* tallies —
-//                    which tools/check_bench_baseline.py gates against
+//   --trace-out PATH Chrome trace-event / Perfetto JSON of the run: the
+//                    explorer's causal spans and instant events, written
+//                    at exit. It ends in a run.final instant holding every
+//                    counter and gauge of the run — states explored, memo
+//                    hits/misses/pruned, the promise-free skips
+//                    (psna.promise_free_skips), the litmus.lint.*,
+//                    realworld.* and litmus.sim.* tallies — which
+//                    tools/check_bench_baseline.py gates against
 //                    BENCH_BASELINE.json.
-//   --trace-out PATH Chrome trace-event / Perfetto JSON built from the
-//                    explorer's causal spans, written at exit
 //
 // Numeric arguments are parsed strictly: garbage is a usage error, not a
 // silent 0. Once a --deadline-ms / --mem-mb budget trips, remaining
@@ -67,7 +66,6 @@
 #include "obs/Span.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceExport.h"
-#include "obs/TraceSink.h"
 #include "psna/Explorer.h"
 #include "seq/AdvancedRefinement.h"
 #include "seq/Simulation.h"
@@ -121,8 +119,8 @@ int usage(const char *Prog, const std::string &Err) {
   std::fprintf(stderr,
                "usage: %s [--threads N] [--deadline-ms N] [--mem-mb N] "
                "[--no-memo] [--no-lint] [--sweep N] [--corpus classic|"
-               "realworld] [--trace PATH] "
-               "[--trace-out PATH] [file [promise-budget [split-budget]]]\n"
+               "realworld] [--trace-out PATH] "
+               "[file [promise-budget [split-budget]]]\n"
                "       %s [--threads N] --witness <corpus-case> <behavior>\n"
                "       %s --list\n",
                Prog, Prog, Prog);
@@ -195,7 +193,7 @@ int main(int Argc, char **Argv) {
   bool NoMemo = false;
   bool NoLint = false;
   std::string Corpus = "classic";
-  std::string TracePath, TraceOutPath;
+  std::string TraceOutPath;
   {
     std::vector<char *> Rest;
     for (int I = 0; I != Argc; ++I) {
@@ -234,12 +232,6 @@ int main(int Argc, char **Argv) {
         TraceOutPath = Value;
         continue;
       }
-      if (cli::flagValue(Argc, Argv, I, "--trace", Value)) {
-        if (!Value || !*Value)
-          return usageError(Prog, "--trace", Value);
-        TracePath = Value;
-        continue;
-      }
       if (cli::flagValue(Argc, Argv, I, "--corpus", Value)) {
         Corpus = Value ? Value : "";
         if (Corpus != "classic" && Corpus != "realworld")
@@ -276,23 +268,21 @@ int main(int Argc, char **Argv) {
   memo::MemoContext Memo;
   memo::MemoContext *MemoPtr = NoMemo ? nullptr : &Memo;
 
-  // Flight recorder: the JSONL sink (flag or PSEQ_TRACE) and the span
-  // recorder feed one Telemetry shared by every exploration in the run.
+  // Flight recorder: one Telemetry and span recorder shared by every
+  // exploration in the run.
   obs::Telemetry Telem;
   obs::SpanRecorder Spans;
-  std::unique_ptr<obs::TraceSink> Sink = obs::traceSinkFromFlagOrEnv(TracePath);
-  Telem.Sink = Sink.get();
-  if (!TraceOutPath.empty())
+  const bool WantTelem = !TraceOutPath.empty();
+  if (WantTelem)
     Telem.Spans = &Spans;
-  const bool WantTelem = Sink != nullptr || !TraceOutPath.empty();
-  // Emits the final snapshot (truncation cause included) and the Perfetto
-  // export; every exit path below funnels through here.
+  // Writes the Perfetto export, whose run.final names the truncation cause;
+  // every exit path below funnels through here.
   auto finish = [&](int Code) {
-    Telem.finalSnapshot(GuardPtr && GuardPtr->stopped()
-                            ? truncationCauseName(GuardPtr->cause())
-                            : "complete");
-    if (!TraceOutPath.empty() &&
-        !obs::writeChromeTrace(Spans, TraceOutPath, "litmus_explorer")) {
+    if (WantTelem &&
+        !obs::writeChromeTrace(Telem, TraceOutPath, "litmus_explorer",
+                               GuardPtr && GuardPtr->stopped()
+                                   ? truncationCauseName(GuardPtr->cause())
+                                   : "complete")) {
       std::fprintf(stderr, "error: cannot write %s\n", TraceOutPath.c_str());
       return 1;
     }

@@ -7,15 +7,13 @@
 // prints per-program verdicts: race-free (proved), potentially-racy (with a
 // concrete witness pair), or atomics-only.
 //
-//   race_lint [--json] [--trace PATH] [--trace-out PATH]
-//             [file | corpus-case-name]
+//   race_lint [--json] [--trace-out PATH] [file | corpus-case-name]
 //
 // With no positional argument the whole litmus corpus is analyzed, one
 // verdict line per case. --json emits a machine-readable report (verdict,
 // witness, per-thread footprints) instead of the human-readable text.
-// --trace writes the analyzer's JSONL event trace (the stream PSEQ_TRACE
-// selects; the flag wins over the env var); --trace-out writes a Chrome
-// trace-event / Perfetto JSON with one span per analyzed program.
+// --trace-out writes a Chrome trace-event / Perfetto JSON with one span per
+// analyzed program, ending in a run.final instant with the run's counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +23,6 @@
 #include "obs/Span.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceExport.h"
-#include "obs/TraceSink.h"
 #include "support/CliArgs.h"
 
 #include <cstdio>
@@ -58,13 +55,13 @@ int report(const std::string &Title, const std::string &Text, bool Json,
 int main(int Argc, char **Argv) {
   bool Json = false;
   const char *Pos = nullptr;
-  std::string TracePath, TraceOutPath;
+  std::string TraceOutPath;
   for (int I = 1; I < Argc; ++I) {
     const char *Value = nullptr;
     if (std::strcmp(Argv[I], "--json") == 0) {
       Json = true;
     } else if (std::strcmp(Argv[I], "--help") == 0) {
-      std::printf("usage: %s [--json] [--trace PATH] [--trace-out PATH] "
+      std::printf("usage: %s [--json] [--trace-out PATH] "
                   "[file | corpus-case-name]\n",
                   Argc ? Argv[0] : "race_lint");
       return 0;
@@ -74,12 +71,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       TraceOutPath = Value;
-    } else if (cli::flagValue(Argc, Argv, I, "--trace", Value)) {
-      if (!Value || !*Value) {
-        std::fprintf(stderr, "error: --trace needs a path\n");
-        return 2;
-      }
-      TracePath = Value;
     } else if (!Pos) {
       Pos = Argv[I];
     } else {
@@ -90,16 +81,11 @@ int main(int Argc, char **Argv) {
 
   obs::Telemetry Telem;
   obs::SpanRecorder Spans;
-  std::unique_ptr<obs::TraceSink> Sink = obs::traceSinkFromFlagOrEnv(TracePath);
-  Telem.Sink = Sink.get();
-  if (!TraceOutPath.empty())
-    Telem.Spans = &Spans;
-  obs::Telemetry *TelemPtr =
-      Sink != nullptr || !TraceOutPath.empty() ? &Telem : nullptr;
+  Telem.Spans = &Spans;
+  obs::Telemetry *TelemPtr = TraceOutPath.empty() ? nullptr : &Telem;
   auto finish = [&](int Code) {
-    Telem.finalSnapshot("complete");
-    if (!TraceOutPath.empty() &&
-        !obs::writeChromeTrace(Spans, TraceOutPath, "race_lint")) {
+    if (TelemPtr &&
+        !obs::writeChromeTrace(Telem, TraceOutPath, "race_lint", "complete")) {
       std::fprintf(stderr, "error: cannot write %s\n", TraceOutPath.c_str());
       return 2;
     }

@@ -14,11 +14,12 @@
 //   * deliberately tight-budget reruns that exercise every truncation
 //     cause (step budget, behavior cap, state budget, cert budget).
 //
-//   stats_report [--json <path>]
+//   stats_report [--json <path>] [--trace-out <path>]
 //   stats_report --diff <old.json> <new.json>
 //
 // With --json the same report is additionally written as one JSON object.
-// Setting PSEQ_TRACE=<path> streams per-event JSONL to <path> as well.
+// --trace-out writes the run's Chrome trace-event / Perfetto JSON: every
+// span and instant event, ending in a run.final instant.
 //
 // --diff compares two report JSON files (either stats_report --json output
 // or a bench_* --json file — the report under its "telemetry" member is
@@ -31,7 +32,7 @@
 #include "obs/JsonValue.h"
 #include "obs/Report.h"
 #include "obs/Telemetry.h"
-#include "obs/TraceSink.h"
+#include "obs/TraceExport.h"
 #include "opt/Pipeline.h"
 #include "psna/Explorer.h"
 #include "seq/BehaviorEnum.h"
@@ -167,7 +168,7 @@ int diffReports(const char *OldPath, const char *NewPath) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string JsonPath;
+  std::string JsonPath, TraceOutPath;
   if (Argc == 4 && std::strcmp(Argv[1], "--diff") == 0)
     return diffReports(Argv[2], Argv[3]);
   for (int I = 1; I < Argc; ++I) {
@@ -175,16 +176,19 @@ int main(int Argc, char **Argv) {
       JsonPath = Argv[++I];
     } else if (std::strncmp(Argv[I], "--json=", 7) == 0) {
       JsonPath = Argv[I] + 7;
+    } else if (std::strcmp(Argv[I], "--trace-out") == 0 && I + 1 < Argc) {
+      TraceOutPath = Argv[++I];
+    } else if (std::strncmp(Argv[I], "--trace-out=", 12) == 0) {
+      TraceOutPath = Argv[I] + 12;
     } else {
-      std::fprintf(stderr, "usage: stats_report [--json <path>]\n"
-                           "       stats_report --diff <old.json> <new.json>\n");
+      std::fprintf(stderr,
+                   "usage: stats_report [--json <path>] [--trace-out <path>]\n"
+                   "       stats_report --diff <old.json> <new.json>\n");
       return 1;
     }
   }
 
   obs::Telemetry Telem;
-  std::unique_ptr<obs::TraceSink> EnvSink = obs::traceSinkFromEnv();
-  Telem.Sink = EnvSink.get();
   // The report's timing section: per-span-name counts, time and self time.
   obs::SpanRecorder Spans;
   Telem.Spans = &Spans;
@@ -289,6 +293,12 @@ int main(int Argc, char **Argv) {
 
   if (!JsonPath.empty() && !obs::writeReportJson(Telem, JsonPath)) {
     std::fprintf(stderr, "error: cannot write %s\n", JsonPath.c_str());
+    return 1;
+  }
+  if (!TraceOutPath.empty() &&
+      !obs::writeChromeTrace(Telem, TraceOutPath, "stats_report",
+                             "complete")) {
+    std::fprintf(stderr, "error: cannot write %s\n", TraceOutPath.c_str());
     return 1;
   }
   return 0;

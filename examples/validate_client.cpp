@@ -21,7 +21,6 @@
 
 #include "litmus/Corpus.h"
 #include "obs/JsonValue.h"
-#include "obs/TraceSink.h"
 #include "serve/Protocol.h"
 #include "serve/Wire.h"
 #include "support/AtomicFile.h"

@@ -9,12 +9,11 @@
 // (source, target, config) jobs over a Unix socket, runs them across
 // crash-isolated workers, and answers every job with exactly one verdict
 // or classified failure. SIGTERM/SIGINT drain gracefully — snapshots are
-// saved, telemetry is flushed, and the process exits with the distinct
-// graceful code (75) — so supervisors can tell an orderly stop from a
-// crash.
+// saved and the process exits with the distinct graceful code (75) — so
+// supervisors can tell an orderly stop from a crash.
 //
 //   validate_server --socket /tmp/pseq.sock --workers 4 \
-//     --snapshot /var/tmp/pseq.snap [--chaos] [--trace out.jsonl]
+//     --snapshot /var/tmp/pseq.snap [--chaos]
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +48,7 @@ int usage(const char *Msg) {
       "  --no-isolate         run jobs in-process (no fork isolation)\n"
       "  --chaos              deterministically kill ~1/3 of first\n"
       "                       attempts mid-job (self-test mode)\n"
-      "  --chaos-seed N       chaos selection seed (default 1)\n"
-      "  --trace PATH         JSONL flight-recorder trace\n");
+      "  --chaos-seed N       chaos selection seed (default 1)\n");
   return 2;
 }
 
@@ -58,7 +56,6 @@ int usage(const char *Msg) {
 
 int main(int argc, char **argv) {
   serve::ServerOptions Opts;
-  std::string TracePath;
   std::string Err;
 
   for (int I = 1; I < argc; ++I) {
@@ -115,10 +112,6 @@ int main(int argc, char **argv) {
                                      ~uint64_t(0) - 1, N, Err))
         return usage(Err.c_str());
       Opts.Policy.ChaosSeed = N;
-    } else if (cli::flagValue(argc, argv, I, "--trace", V)) {
-      if (!V)
-        return usage("--trace needs a path");
-      TracePath = V;
     } else if (A == "--help" || A == "-h") {
       usage(nullptr);
       return 0;
@@ -132,8 +125,6 @@ int main(int argc, char **argv) {
   guard::installShutdownHandlers();
 
   obs::Telemetry Telem;
-  std::unique_ptr<obs::TraceSink> Sink = obs::traceSinkFromFlagOrEnv(TracePath);
-  Telem.Sink = Sink.get();
   Opts.Telem = &Telem;
 
   serve::Server Server(std::move(Opts));
@@ -154,7 +145,5 @@ int main(int argc, char **argv) {
                static_cast<unsigned long long>(T.Shed.load()),
                static_cast<unsigned long long>(Server.cache().stats().Hits));
 
-  bool Signalled = guard::shutdownRequested();
-  Telem.finalSnapshot(Signalled ? "shutdown-signal" : "shutdown-op");
-  return Signalled ? guard::GracefulSignalExit : 0;
+  return guard::shutdownRequested() ? guard::GracefulSignalExit : 0;
 }

@@ -17,6 +17,7 @@
 #include "litmus/RealWorld.h"
 #include "memo/MemoContext.h"
 #include "obs/Telemetry.h"
+#include "obs/TraceExport.h"
 
 #include <chrono>
 #include <cstdio>
@@ -436,20 +437,21 @@ CampaignStats pseq::runFuzzCampaign(const CampaignOptions &Opts) {
       Telem->Counters.add(std::string("fuzz.") + Outcome);
       Telem->Counters.recordHist("fuzz.pair.us",
                                  static_cast<uint64_t>(PairMs * 1000.0));
-      if (Telem->tracing())
-        Telem->trace("fuzz.pair", {{"index", uint64_t(I)},
-                                   {"mutation", Pair.Mutation},
-                                   {"outcome", Outcome},
-                                   {"isolated", UseIsolation},
-                                   {"ms", PairMs}});
+      if (Telem->Spans)
+        Telem->Spans->instant("fuzz.pair", {{"index", uint64_t(I)},
+                                            {"mutation", Pair.Mutation},
+                                            {"outcome", Outcome},
+                                            {"isolated", UseIsolation},
+                                            {"ms", PairMs}});
       // A crashed/limited child is exactly the run a post-mortem needs the
-      // trace for: snapshot the counters and force the sink to disk before
-      // the campaign moves on (the JSONL survives even if the parent dies
-      // on a later pair).
-      if (std::strcmp(Outcome, "crash") == 0 ||
-          std::strcmp(Outcome, "oom") == 0 ||
-          std::strcmp(Outcome, "deadline") == 0)
-        Telem->finalSnapshot(Outcome);
+      // trace for: write it out, counters included, before the campaign
+      // moves on (it survives even if the parent dies on a later pair).
+      if (!Opts.TraceOutPath.empty() &&
+          (std::strcmp(Outcome, "crash") == 0 ||
+           std::strcmp(Outcome, "oom") == 0 ||
+           std::strcmp(Outcome, "deadline") == 0))
+        obs::writeChromeTrace(*Telem, Opts.TraceOutPath, "fuzz_campaign",
+                              Outcome);
     }
     if (Opts.Verbose)
       std::fprintf(stderr, "[fuzz] pair %u: %s (%.1f ms)\n", I, Outcome,

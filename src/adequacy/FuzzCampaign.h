@@ -70,10 +70,15 @@ struct CampaignOptions {
   /// verdict streams against the exact unmemoized paths.
   bool UseMemo = true;
   /// Optional telemetry (borrowed): per-outcome counters plus a
-  /// "fuzz.pair" trace event per pair. Only the parent writes to it —
+  /// "fuzz.pair" instant event per pair. Only the parent writes to it —
   /// isolated children run without telemetry (their writes would die with
   /// them anyway).
   obs::Telemetry *Telem = nullptr;
+  /// With Telem set, the Chrome trace (obs/TraceExport.h) is rewritten
+  /// here after every crashed, oom or deadline pair, its run.final naming
+  /// that outcome, so the record survives a parent that dies on a later
+  /// pair. The closing trace is the driver's to write.
+  std::string TraceOutPath;
   /// Where pairs come from. "" (or "random") draws random single-thread
   /// straight-line pairs from adequacy/RandomProgram.h; "realworld" seeds
   /// each pair from a RealWorld protocol case (litmus/RealWorld.h),

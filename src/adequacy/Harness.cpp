@@ -93,7 +93,7 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
   noteTruncation(Rec.FirstCause, Advanced.Cause);
 
   // Contexts are independent, so they fan out across the pool; verdicts,
-  // tallies, and trace events fold in library order afterwards, making the
+  // tallies, and instant events fold in library order afterwards, making the
   // record identical (modulo ElapsedMs) for every worker count. No context
   // is drained on a guard trip: each polls the guard itself and records a
   // bounded verdict, as a one-worker run does.
@@ -123,13 +123,14 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
         ++Tally.slot("adequacy.ctx_holds");
       if (V.Bounded)
         ++Tally.slot("adequacy.ctx_bounded");
-      if (Telem->tracing())
-        Telem->trace("adequacy.context", {{"pair", Name},
-                                          {"context", V.Context},
-                                          {"holds", V.Holds},
-                                          {"bounded", V.Bounded},
-                                          {"cause", truncationCauseName(V.Cause)},
-                                          {"ms", V.ElapsedMs}});
+      if (Telem->Spans)
+        Telem->Spans->instant("adequacy.context",
+                              {{"pair", Name},
+                               {"context", V.Context},
+                               {"holds", V.Holds},
+                               {"bounded", V.Bounded},
+                               {"cause", truncationCauseName(V.Cause)},
+                               {"ms", V.ElapsedMs}});
     }
     Rec.Contexts.push_back(std::move(V));
   }
@@ -149,15 +150,15 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
       ++Tally.slot("adequacy.disagree");
     if (Rec.witnessFound())
       ++Tally.slot("adequacy.witnesses");
-    if (Telem->tracing())
-      Telem->trace("adequacy.pair",
-                   {{"pair", Name},
-                    {"seq_simple", Rec.SeqSimple},
-                    {"seq_advanced", Rec.SeqAdvanced},
-                    {"psna_all", Rec.PsnaAllContexts},
-                    {"bounded", Rec.AnyBounded},
-                    {"cause", truncationCauseName(Rec.FirstCause)},
-                    {"ms", obs::msSince(Start)}});
+    if (Telem->Spans)
+      Telem->Spans->instant("adequacy.pair",
+                            {{"pair", Name},
+                             {"seq_simple", Rec.SeqSimple},
+                             {"seq_advanced", Rec.SeqAdvanced},
+                             {"psna_all", Rec.PsnaAllContexts},
+                             {"bounded", Rec.AnyBounded},
+                             {"cause", truncationCauseName(Rec.FirstCause)},
+                             {"ms", obs::msSince(Start)}});
   }
   return Rec;
 }

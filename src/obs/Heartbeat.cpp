@@ -7,7 +7,8 @@
 
 #include "obs/Heartbeat.h"
 
-#include <chrono>
+#include "obs/JsonValue.h"
+#include "obs/Span.h"
 
 using namespace pseq::obs;
 
@@ -18,11 +19,11 @@ void Heartbeat::addProbe(std::string Name, std::function<double()> Fn) {
 bool Heartbeat::start(const std::string &Path, uint64_t Interval) {
   if (running())
     return false;
-  Out = std::make_unique<JsonlTraceSink>(Path);
-  if (!Out->ok()) {
-    Out.reset();
+  Out.open(Path);
+  if (!Out.is_open())
     return false;
-  }
+  Seq = 0;
+  Started = std::chrono::steady_clock::now();
   StopRequested = false;
   IntervalMs = Interval == 0 ? 1 : Interval;
   Worker = std::thread([this] {
@@ -43,11 +44,14 @@ bool Heartbeat::start(const std::string &Path, uint64_t Interval) {
 }
 
 void Heartbeat::tick() {
-  std::vector<TraceField> Fields;
-  Fields.reserve(Probes.size());
+  std::string Line = "{\"seq\":" + std::to_string(Seq++) +
+                     ",\"ms\":" + jsonNumber(msSince(Started)) +
+                     ",\"ev\":\"heartbeat\"";
   for (const auto &[Name, Fn] : Probes)
-    Fields.push_back({Name, TraceValue(Fn())});
-  Out->event("heartbeat", Fields);
+    Line += ",\"" + jsonEscape(Name) + "\":" + jsonNumber(Fn());
+  Line += "}\n";
+  // Flushed per tick, so the file can be watched while the run goes on.
+  Out << Line << std::flush;
   Beats.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -61,8 +65,7 @@ void Heartbeat::stop() {
   Cv.notify_all();
   Worker.join();
   // Final tick from the caller's thread — the sampler is gone, so the
-  // sink is single-writer again.
+  // file is single-writer again.
   tick();
-  Out->flush();
-  Out.reset();
+  Out.close();
 }

@@ -8,19 +8,20 @@
 /// \file
 /// A low-overhead periodic snapshotter for long runs: a background thread
 /// samples registered probes every interval and appends one `heartbeat`
-/// JSONL line per tick — the exact progress shape the future validation
-/// server's `/stats` endpoint will serve (ROADMAP item 1).
+/// JSONL line per tick, so a run's progress can be watched while it runs
+/// (the Chrome trace is written only at its end).
 ///
 /// Probes are plain `double()` callables registered before start(). They
 /// are invoked from the heartbeat thread while engines run, so a probe may
 /// only read lock-free state: the exec::ThreadPool stats snapshot, the
 /// guard's memory counters, memo hit/miss atomics, SpanRecorder totals.
 /// The obs::Stats maps are NOT safe to probe mid-run — the layering keeps
-/// that mistake hard to make, since the heartbeat owns its own private
-/// sink and never touches a Telemetry.
+/// that mistake hard to make, since the heartbeat writes its own file and
+/// never touches a Telemetry.
 ///
-/// Output schema (same envelope as every JSONL sink):
+/// Output schema, one JSON object per line:
 ///   {"seq":<n>,"ms":<t>,"ev":"heartbeat","<probe>":<value>,...}
+/// where `seq` counts the lines and `ms` is the wall time since start().
 /// A final tick is always emitted from stop(), so even a run shorter than
 /// one interval leaves a record.
 ///
@@ -29,13 +30,12 @@
 #ifndef PSEQ_OBS_HEARTBEAT_H
 #define PSEQ_OBS_HEARTBEAT_H
 
-#include "obs/TraceSink.h"
-
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -72,7 +72,9 @@ private:
   void tick();
 
   std::vector<std::pair<std::string, std::function<double()>>> Probes;
-  std::unique_ptr<JsonlTraceSink> Out; ///< written by the sampler thread
+  std::ofstream Out; ///< written by the sampler thread
+  uint64_t Seq = 0;
+  std::chrono::steady_clock::time_point Started;
   std::thread Worker;
   std::mutex Mu;
   std::condition_variable Cv;

@@ -8,10 +8,60 @@
 #include "obs/JsonValue.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 using namespace pseq::obs;
+
+std::string pseq::obs::jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  for (unsigned char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\b':
+      Out += "\\b";
+      break;
+    case '\f':
+      Out += "\\f";
+      break;
+    default:
+      if (C < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += static_cast<char>(C);
+      }
+    }
+  }
+  return Out;
+}
+
+std::string pseq::obs::jsonNumber(double V) {
+  if (!std::isfinite(V))
+    return "null";
+  char Buf[32];
+  // %.17g round-trips doubles but is noisy; timings/gauges don't need more
+  // than %.6g, and it keeps reports stable across runs of equal values.
+  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
+  return Buf;
+}
 
 const JsonValue *JsonValue::field(const std::string &Key) const {
   if (K != Kind::Object)

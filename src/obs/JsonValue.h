@@ -11,6 +11,8 @@
 /// `stats_report --diff` reads two report JSON files. It handles exactly
 /// standard JSON (RFC 8259) with a nesting-depth cap; it is not meant to
 /// be fast, only dependency-free and strict (trailing junk is an error).
+/// The two writer helpers every JSON emitter shares (the trace export,
+/// reports, the heartbeat, the bench and server JSON) live here too.
 ///
 /// Object keys are kept in a sorted map — every consumer here iterates for
 /// deterministic comparison, none needs source order.
@@ -26,6 +28,13 @@
 #include <vector>
 
 namespace pseq::obs {
+
+/// Escapes \p S for inclusion in a JSON string literal (quotes, backslash,
+/// control characters; non-ASCII bytes pass through, valid for UTF-8).
+std::string jsonEscape(std::string_view S);
+
+/// Formats \p V as a JSON number token (non-finite values become null).
+std::string jsonNumber(double V);
 
 /// One parsed JSON value (a tagged tree).
 class JsonValue {

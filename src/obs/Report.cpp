@@ -7,6 +7,7 @@
 
 #include "obs/Report.h"
 
+#include "obs/JsonValue.h"
 #include "support/AtomicFile.h"
 
 #include <algorithm>

@@ -7,6 +7,8 @@
 
 #include "obs/Span.h"
 
+#include "obs/JsonValue.h"
+
 using namespace pseq::obs;
 
 namespace {
@@ -48,6 +50,28 @@ unsigned SpanRecorder::laneForThisThread() {
 
 uint32_t SpanRecorder::enter(unsigned Lane) { return Lanes[Lane].Depth++; }
 
+void ArgValue::appendJson(std::string &Out) const {
+  switch (K) {
+  case Kind::Bool:
+    Out += B ? "true" : "false";
+    break;
+  case Kind::Int:
+    Out += std::to_string(I);
+    break;
+  case Kind::UInt:
+    Out += std::to_string(U);
+    break;
+  case Kind::Real:
+    Out += jsonNumber(D);
+    break;
+  case Kind::Str:
+    Out += '"';
+    Out += jsonEscape(S);
+    Out += '"';
+    break;
+  }
+}
+
 void SpanRecorder::exit(unsigned LaneIdx, const char *Name, uint64_t BeginNs,
                         uint32_t Depth) {
   Lane &L = Lanes[LaneIdx];
@@ -59,6 +83,19 @@ void SpanRecorder::exit(unsigned LaneIdx, const char *Name, uint64_t BeginNs,
   if (L.Records.empty())
     L.Records.reserve(256);
   L.Records.push_back({Name, BeginNs, nowNs(), Depth});
+  Recorded.fetch_add(1, std::memory_order_relaxed);
+}
+
+void SpanRecorder::instant(const char *Name, std::vector<InstantArg> Args) {
+  unsigned LaneIdx = laneForThisThread();
+  if (LaneIdx >= MaxLanes)
+    return; // out of lanes: already counted dropped
+  Lane &L = Lanes[LaneIdx];
+  if (L.Instants.size() >= MaxSpansPerLane) {
+    Dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  L.Instants.push_back({Name, nowNs(), std::move(Args)});
   Recorded.fetch_add(1, std::memory_order_relaxed);
 }
 

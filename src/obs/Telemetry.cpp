@@ -9,27 +9,6 @@
 
 using namespace pseq::obs;
 
-void Telemetry::finalSnapshot(std::string_view Reason) {
-  if (!Sink)
-    return;
-  if (Sink->enabled()) {
-    std::vector<TraceField> Fields;
-    Fields.reserve(1 + Counters.counters().size() +
-                   Counters.gauges().size());
-    Fields.push_back({"reason", TraceValue(Reason)});
-    for (const auto &[Name, Value] : Counters.counters())
-      Fields.push_back({Name, TraceValue(Value)});
-    for (const auto &[Name, Value] : Counters.gauges())
-      Fields.push_back({Name, TraceValue(Value)});
-    if (Spans) {
-      Fields.push_back({"spans.recorded", TraceValue(Spans->totalSpans())});
-      Fields.push_back({"spans.dropped", TraceValue(Spans->droppedSpans())});
-    }
-    Sink->event("run.final", Fields);
-  }
-  Sink->flush();
-}
-
 WorkerTelemetry::WorkerTelemetry(Telemetry *Caller, unsigned Workers)
     : Caller(Caller) {
   if (!Caller || Workers <= 1)

@@ -7,7 +7,7 @@
 
 #include "obs/TraceExport.h"
 
-#include "obs/TraceSink.h"
+#include "obs/JsonValue.h"
 #include "support/AtomicFile.h"
 
 #include <cstdio>
@@ -26,8 +26,9 @@ std::string tsUs(uint64_t Ns) {
   return Buf;
 }
 
-void appendEvent(std::string &Out, bool &First, const char *Ph,
-                 const char *Name, uint64_t Ns, unsigned Tid) {
+/// Opens one event object; the caller appends any members and the '}'.
+void beginEvent(std::string &Out, bool &First, const char *Ph,
+                const char *Name, uint64_t Ns, unsigned Tid) {
   if (!First)
     Out += ',';
   First = false;
@@ -39,7 +40,52 @@ void appendEvent(std::string &Out, bool &First, const char *Ph,
   Out += tsUs(Ns);
   Out += ",\"pid\":1,\"tid\":";
   Out += std::to_string(Tid);
+}
+
+void appendEvent(std::string &Out, bool &First, const char *Ph,
+                 const char *Name, uint64_t Ns, unsigned Tid) {
+  beginEvent(Out, First, Ph, Name, Ns, Tid);
   Out += '}';
+}
+
+/// Appends `"key":value` as the next member of an args object.
+void appendArg(std::string &Out, bool &FirstArg, std::string_view Key,
+               const ArgValue &Val) {
+  if (!FirstArg)
+    Out += ',';
+  FirstArg = false;
+  Out += '"';
+  Out += jsonEscape(Key);
+  Out += "\":";
+  Val.appendJson(Out);
+}
+
+void appendInstant(std::string &Out, bool &First, unsigned Tid,
+                   const InstantRecord &I) {
+  beginEvent(Out, First, "i", I.Name, I.Ns, Tid);
+  Out += ",\"s\":\"t\",\"args\":{";
+  bool FirstArg = true;
+  for (const InstantArg &A : I.Args)
+    appendArg(Out, FirstArg, A.Key, A.Val);
+  Out += "}}";
+}
+
+/// The closing run.final instant, taken straight from the registry.
+void appendRunFinal(std::string &Out, bool &First, const Telemetry &T,
+                    std::string_view Reason) {
+  beginEvent(Out, First, "i", "run.final", T.Spans ? T.Spans->nowNs() : 0, 0);
+  Out += ",\"s\":\"g\",\"args\":{";
+  bool FirstArg = true;
+  appendArg(Out, FirstArg, "reason", Reason);
+  for (const auto &[Name, Value] : T.Counters.counters())
+    appendArg(Out, FirstArg, Name, Value);
+  for (const auto &[Name, Value] : T.Counters.gauges())
+    appendArg(Out, FirstArg, Name, Value);
+  if (T.Spans) {
+    appendArg(Out, FirstArg, "spans.recorded", T.Spans->totalSpans());
+    appendArg(Out, FirstArg, "spans.dropped", T.Spans->droppedSpans());
+  }
+  Out += "}}";
 }
 
 void appendMeta(std::string &Out, bool &First, const char *Kind,
@@ -73,15 +119,17 @@ void emitNode(std::string &Out, bool &First, unsigned Tid,
 
 } // namespace
 
-std::string pseq::obs::renderChromeTrace(const SpanRecorder &R,
-                                         const std::string &ProcessName) {
+std::string pseq::obs::renderChromeTrace(const Telemetry &T,
+                                         const std::string &ProcessName,
+                                         std::string_view Reason) {
   std::string Out = "{\"traceEvents\":[";
   bool First = true;
   appendMeta(Out, First, "process_name", 0, ProcessName);
 
-  for (unsigned L = 0, N = R.lanes(); L != N; ++L) {
-    const std::vector<SpanRecord> &Recs = R.lane(L);
-    if (Recs.empty())
+  for (unsigned L = 0, N = T.Spans ? T.Spans->lanes() : 0; L != N; ++L) {
+    const std::vector<SpanRecord> &Recs = T.Spans->lane(L);
+    const std::vector<InstantRecord> &Instants = T.Spans->instants(L);
+    if (Recs.empty() && Instants.empty())
       continue;
     appendMeta(Out, First, "thread_name", L,
                L == 0 ? "orchestrator" : "lane-" + std::to_string(L));
@@ -113,17 +161,21 @@ std::string pseq::obs::renderChromeTrace(const SpanRecorder &R,
     for (const std::vector<size_t> &Roots : Pending)
       for (size_t I : Roots)
         emitNode(Out, First, L, Nodes, I);
+    // Instants follow their lane's spans; viewers order events by ts.
+    for (const InstantRecord &I : Instants)
+      appendInstant(Out, First, L, I);
   }
 
+  appendRunFinal(Out, First, T, Reason);
   Out += "\n],\"displayTimeUnit\":\"ms\"}";
   return Out;
 }
 
-bool pseq::obs::writeChromeTrace(const SpanRecorder &R,
-                                 const std::string &Path,
-                                 const std::string &ProcessName) {
+bool pseq::obs::writeChromeTrace(const Telemetry &T, const std::string &Path,
+                                 const std::string &ProcessName,
+                                 std::string_view Reason) {
   // Atomic (temp + rename): Perfetto rejects truncated traces outright, so
   // a kill mid-export must leave the previous file or none.
-  return support::writeFileAtomic(Path, renderChromeTrace(R, ProcessName) +
-                                            "\n");
+  return support::writeFileAtomic(
+      Path, renderChromeTrace(T, ProcessName, Reason) + "\n");
 }

@@ -164,13 +164,13 @@ PipelineResult pseq::runPipeline(const Program &P,
       Report.ValidateMs = V.ElapsedMs;
       Report.ValidationStates = V.StatesExplored;
       Report.Lint = V.Lint;
-      if (Telem && Telem->tracing())
-        Telem->trace("opt.pass", {{"pass", Name},
-                                  {"rewrites", uint64_t(PR.Rewrites)},
-                                  {"validated", V.Ok},
-                                  {"bounded", V.Bounded},
-                                  {"opt_ms", Report.OptMs},
-                                  {"validate_ms", V.ElapsedMs}});
+      if (Spans)
+        Spans->instant("opt.pass", {{"pass", Name},
+                                    {"rewrites", uint64_t(PR.Rewrites)},
+                                    {"validated", V.Ok},
+                                    {"bounded", V.Bounded},
+                                    {"opt_ms", Report.OptMs},
+                                    {"validate_ms", V.ElapsedMs}});
       if (!V.Ok) {
         Report.Error = V.Counterexample;
         Out.AllValidated = false;

@@ -169,16 +169,16 @@ ValidationResult pseq::validateTransform(const Program &Src,
       ++Tally.slot("opt.validate.bounded");
     Telem->Counters.add(std::string("opt.validate.method.") +
                         validationMethodName(Method));
-    if (Telem->tracing())
-      Telem->trace("opt.validate",
-                   {{"ok", Out.Ok},
-                    {"bounded", Out.Bounded},
-                    {"method", validationMethodName(Method)},
-                    {"cause", truncationCauseName(Out.Cause)},
-                    {"lint", Out.Lint ? analysis::raceVerdictName(*Out.Lint)
-                                      : "off"},
-                    {"states", Out.StatesExplored},
-                    {"ms", Out.ElapsedMs}});
+    if (Telem->Spans)
+      Telem->Spans->instant(
+          "opt.validate",
+          {{"ok", Out.Ok},
+           {"bounded", Out.Bounded},
+           {"method", validationMethodName(Method)},
+           {"cause", truncationCauseName(Out.Cause)},
+           {"lint", Out.Lint ? analysis::raceVerdictName(*Out.Lint) : "off"},
+           {"states", Out.StatesExplored},
+           {"ms", Out.ElapsedMs}});
   }
   return Out;
 }
@@ -225,16 +225,16 @@ ValidationResult pseq::validatePsTransform(const Program &Src,
       ++Tally.slot("opt.validate.bounded");
     Telem->Counters.add(std::string("opt.validate.method.") +
                         validationMethodName(ValidationMethod::Psna));
-    if (Telem->tracing())
-      Telem->trace("opt.validate",
-                   {{"ok", Out.Ok},
-                    {"bounded", Out.Bounded},
-                    {"method", validationMethodName(ValidationMethod::Psna)},
-                    {"cause", truncationCauseName(Out.Cause)},
-                    {"lint", Out.Lint ? analysis::raceVerdictName(*Out.Lint)
-                                      : "off"},
-                    {"states", Out.StatesExplored},
-                    {"ms", Out.ElapsedMs}});
+    if (Telem->Spans)
+      Telem->Spans->instant(
+          "opt.validate",
+          {{"ok", Out.Ok},
+           {"bounded", Out.Bounded},
+           {"method", validationMethodName(ValidationMethod::Psna)},
+           {"cause", truncationCauseName(Out.Cause)},
+           {"lint", Out.Lint ? analysis::raceVerdictName(*Out.Lint) : "off"},
+           {"states", Out.StatesExplored},
+           {"ms", Out.ElapsedMs}});
   }
   return Out;
 }

@@ -44,7 +44,7 @@ enum class ValidationMethod {
   Psna,
 };
 
-/// Lower-case label for reports and trace events.
+/// Lower-case label for reports and instant events.
 constexpr const char *validationMethodName(ValidationMethod M) {
   switch (M) {
   case ValidationMethod::Simple:

@@ -502,15 +502,13 @@ PsBehaviorSet exploreLevels(const Program &P, const PsConfig &Cfg) {
       Telem->Counters.add("psna.explore.thread" + std::to_string(Tid) +
                               ".steps",
                           ThreadSteps[Tid]);
-    if (Telem->tracing())
-      Telem->trace("psna.explore",
-                   {{"states", uint64_t(Result.StatesExplored)},
-                    {"behaviors", uint64_t(Result.All.size())},
-                    {"dedup_hits", DedupHits},
-                    {"cause", truncationCauseName(Result.Cause)},
-                    {"ms", obs::msSince(Start)}});
-    if (isGuardCause(Result.Cause))
-      Telem->finalSnapshot(truncationCauseName(Result.Cause));
+    if (Telem->Spans)
+      Telem->Spans->instant("psna.explore",
+                            {{"states", uint64_t(Result.StatesExplored)},
+                             {"behaviors", uint64_t(Result.All.size())},
+                             {"dedup_hits", DedupHits},
+                             {"cause", truncationCauseName(Result.Cause)},
+                             {"ms", obs::msSince(Start)}});
   }
   return Result;
 }

@@ -47,9 +47,26 @@ bool BehaviorSet::covers(const SeqBehavior &Tgt, LocSet Universe) const {
 
 namespace {
 
-struct BehaviorHash {
+/// Hash and equality for the dedup set, which holds indices into the
+/// enumeration's result vector: each unique behavior is stored once, and a
+/// candidate behavior is looked up directly (transparent lookup).
+struct IndexHash {
+  using is_transparent = void;
+  const std::vector<SeqBehavior> *All;
   size_t operator()(const SeqBehavior &B) const {
     return static_cast<size_t>(B.hash());
+  }
+  size_t operator()(uint32_t I) const { return (*this)((*All)[I]); }
+};
+
+struct IndexEq {
+  using is_transparent = void;
+  const std::vector<SeqBehavior> *All;
+  const SeqBehavior &get(const SeqBehavior &B) const { return B; }
+  const SeqBehavior &get(uint32_t I) const { return (*All)[I]; }
+  template <typename L, typename R>
+  bool operator()(const L &A, const R &B) const {
+    return get(A) == get(B);
   }
 };
 
@@ -71,7 +88,8 @@ class DfsEnumerator {
   const SeqMachine &M;
   guard::ResourceGuard *Guard;
   BehaviorSet Result;
-  std::unordered_set<SeqBehavior, BehaviorHash> Seen;
+  /// Indices into Result.All of the behaviors emitted so far.
+  std::unordered_set<uint32_t, IndexHash, IndexEq> Seen;
   std::vector<SeqEvent> Trace;
   EnumTallies T;
 
@@ -87,7 +105,8 @@ class DfsEnumerator {
 
 public:
   explicit DfsEnumerator(const SeqMachine &M)
-      : M(M), Guard(M.config().Guard) {}
+      : M(M), Guard(M.config().Guard),
+        Seen(0, IndexHash{&Result.All}, IndexEq{&Result.All}) {}
 
   const EnumTallies &tallies() const { return T; }
   BehaviorSet take() { return std::move(Result); }
@@ -140,12 +159,11 @@ private:
     }
     ++T.Emitted;
     if (Guard)
-      // Retained twice (Seen + All); approximate both copies.
-      Guard->charge(2 * (sizeof(SeqBehavior) +
-                         B.Trace.size() * sizeof(SeqEvent) +
-                         B.Mem.size() * sizeof(Value)));
-    Seen.insert(B);
+      // Retained once, in All, plus its index in Seen.
+      Guard->charge(sizeof(SeqBehavior) + B.Trace.size() * sizeof(SeqEvent) +
+                    B.Mem.size() * sizeof(Value) + sizeof(uint32_t));
     Result.All.push_back(std::move(B));
+    Seen.insert(static_cast<uint32_t>(Result.All.size() - 1));
   }
 
   /// Emits \p S's behavior under the current trace. \returns true when the
@@ -221,11 +239,8 @@ BehaviorSet pseq::enumerateBehaviors(const SeqMachine &M,
   if (guard::ResourceGuard *G = M.config().Guard; G && G->stopped())
     noteTruncation(R.Cause, G->cause());
   foldTallies(Telem, E.tallies());
-  if (Telem) {
+  if (Telem)
     Telem->Counters.recordHist("seq.enum.behavior_set", R.All.size());
-    if (isGuardCause(R.Cause))
-      Telem->finalSnapshot(truncationCauseName(R.Cause));
-  }
   return R;
 }
 

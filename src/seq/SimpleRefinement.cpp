@@ -25,14 +25,14 @@ void pseq::observeRefinementCheck(obs::Telemetry *Telem, const char *Kind,
     Telem->Counters.add(Prefix + ".fails");
   if (R.Bounded)
     Telem->Counters.add(Prefix + ".bounded");
-  if (Telem->tracing())
-    Telem->trace(Kind, {{"holds", R.Holds},
-                        {"bounded", R.Bounded},
-                        {"cause", truncationCauseName(R.Cause)},
-                        {"initial_states", uint64_t(R.InitialStates)},
-                        {"src_behaviors", R.SrcBehaviors},
-                        {"tgt_behaviors", R.TgtBehaviors},
-                        {"ms", Ms}});
+  if (Telem->Spans)
+    Telem->Spans->instant(Kind, {{"holds", R.Holds},
+                                 {"bounded", R.Bounded},
+                                 {"cause", truncationCauseName(R.Cause)},
+                                 {"initial_states", uint64_t(R.InitialStates)},
+                                 {"src_behaviors", R.SrcBehaviors},
+                                 {"tgt_behaviors", R.TgtBehaviors},
+                                 {"ms", Ms}});
 }
 
 SeqConfig pseq::resolveUniverse(SeqConfig Cfg, const Program &SrcP,

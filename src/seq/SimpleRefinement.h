@@ -51,8 +51,8 @@ SeqConfig resolveUniverse(SeqConfig Cfg, const Program &SrcP, unsigned SrcTid,
                           const Program &TgtP, unsigned TgtTid);
 
 /// Telemetry epilogue shared by the refinement checkers: bumps
-/// `<Kind>.{calls,fails,bounded}` and emits one trace event per call.
-/// No-op when \p Telem is null.
+/// `<Kind>.{calls,fails,bounded}` and records one instant event named
+/// \p Kind (a string literal) per call. No-op when \p Telem is null.
 void observeRefinementCheck(obs::Telemetry *Telem, const char *Kind,
                             const RefinementResult &R, double Ms);
 

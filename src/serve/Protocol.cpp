@@ -8,7 +8,6 @@
 #include "serve/Protocol.h"
 
 #include "obs/JsonValue.h"
-#include "obs/TraceSink.h"
 
 using namespace pseq;
 using namespace pseq::serve;

@@ -15,10 +15,9 @@
 /// parses. On hosts without an atomic rename the implementation degrades
 /// to a plain write (still a single buffered write call).
 ///
-/// JSONL sinks (traces, heartbeats) are deliberately not routed through
-/// this: they are append streams whose crash contract is "a valid prefix
-/// of lines", maintained by per-event line writes and explicit flushes on
-/// the guard/isolation shutdown paths.
+/// The heartbeat's JSONL file is deliberately not routed through this: it
+/// is an append stream whose crash contract is "a valid prefix of lines",
+/// maintained by writing and flushing one whole line per tick.
 ///
 //===----------------------------------------------------------------------===//
 

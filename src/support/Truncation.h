@@ -33,7 +33,7 @@ enum class TruncationCause : uint8_t {
   Cancelled,   ///< guard::CancellationToken tripped
 };
 
-/// Stable lowercase token for reports and JSONL traces.
+/// Stable lowercase token for reports and traces.
 constexpr const char *truncationCauseName(TruncationCause C) {
   switch (C) {
   case TruncationCause::None:

@@ -28,6 +28,8 @@
 #include "guard/Signals.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
+#include "obs/JsonValue.h"
+#include "obs/Telemetry.h"
 #include "opt/Pipeline.h"
 #include "opt/Validator.h"
 #include "psna/Explorer.h"
@@ -813,6 +815,55 @@ TEST(FuzzCampaignTest, SurvivesInjectedCrash) {
   EXPECT_EQ(S.Agree, 2u) << "the other pairs must be unaffected";
   EXPECT_EQ(S.Isolated, 3u);
   EXPECT_FALSE(S.clean());
+}
+
+TEST(FuzzCampaignTest, CrashedPairRewritesTheTrace) {
+  if (!guard::isolationSupported())
+    GTEST_SKIP() << "no fork() on this host";
+  if (PSEQ_TEST_TSAN)
+    GTEST_SKIP() << "fork-based tests are skipped under TSan";
+
+  // The trace is rewritten at the crashed pair, not only by the driver at
+  // exit: after the campaign returns, the file still holds the snapshot
+  // taken right after pair 0 crashed (pair 1 agrees and writes nothing).
+  obs::Telemetry Telem;
+  obs::SpanRecorder Spans;
+  Telem.Spans = &Spans;
+  std::string Path = (std::filesystem::temp_directory_path() /
+                      ("pseq_fuzz_trace_" + std::to_string(::getpid())))
+                         .string();
+  CampaignOptions O;
+  O.Seed = 7;
+  O.Count = 2;
+  O.Fault = FaultKind::Crash;
+  O.InjectAt = 0;
+  O.WallMs = 20000;
+  O.Telem = &Telem;
+  O.TraceOutPath = Path;
+  CampaignStats S = runFuzzCampaign(O);
+  EXPECT_EQ(S.Crash, 1u);
+  EXPECT_EQ(S.Agree, 1u);
+
+  std::ifstream In(Path);
+  std::string Text((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  std::remove(Path.c_str());
+  obs::JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(obs::JsonValue::parse(Text, V, &Err)) << Err;
+  const std::vector<obs::JsonValue> &Events = V.field("traceEvents")->array();
+  ASSERT_FALSE(Events.empty());
+  const obs::JsonValue &Final = Events.back();
+  EXPECT_EQ(Final.field("name")->asString(), "run.final");
+  const obs::JsonValue *Args = Final.field("args");
+  EXPECT_EQ(Args->field("reason")->asString(), "crash");
+  EXPECT_EQ(Args->field("fuzz.pairs")->asNumber(), 1.0);
+  EXPECT_EQ(Args->field("fuzz.crash")->asNumber(), 1.0);
+  // The crashed pair's own instant is in the file too.
+  bool SawPair = false;
+  for (const obs::JsonValue &E : Events)
+    SawPair |= E.field("name")->asString() == "fuzz.pair";
+  EXPECT_TRUE(SawPair);
 }
 
 TEST(FuzzCampaignTest, SurvivesInjectedHang) {

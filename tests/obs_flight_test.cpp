@@ -6,9 +6,9 @@
 // Unit tests for the flight-recorder half of src/obs: log2 histograms
 // (bucketing, merge commutativity, percentiles), span lanes and the Chrome
 // trace-event exporter (parsed back with obs::JsonValue and schema-checked:
-// balanced B/E pairs, well-formed nesting per tid), the JSON reader itself,
-// the heartbeat snapshotter, trace-sink flag/env precedence, and the final
-// telemetry snapshot.
+// balanced B/E pairs, well-formed nesting per tid, instant events with
+// their args), the closing run.final instant, the JSON reader itself, and
+// the heartbeat snapshotter.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +18,10 @@
 #include "obs/Span.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceExport.h"
-#include "obs/TraceSink.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -241,8 +241,12 @@ TEST(SpanTest, LanesArePerThread) {
 }
 
 /// Parses a rendered Chrome trace and schema-checks it: required members,
-/// balanced B/E pairs per tid, LIFO (well-nested) begin/end order.
-void checkChromeTraceSchema(const std::string &Json, unsigned ExpectSpans) {
+/// balanced B/E pairs per tid, LIFO (well-nested) begin/end order, instant
+/// events with an args object, and exactly one run.final, the last event.
+/// The instant events, run.final included, go to \p Instants in file
+/// order.
+void checkChromeTraceSchema(const std::string &Json, unsigned ExpectSpans,
+                            std::vector<JsonValue> *Instants = nullptr) {
   JsonValue V;
   std::string Err;
   ASSERT_TRUE(JsonValue::parse(Json, V, &Err)) << Err;
@@ -252,6 +256,7 @@ void checkChromeTraceSchema(const std::string &Json, unsigned ExpectSpans) {
 
   std::map<int, std::vector<std::string>> OpenByTid;
   unsigned Durations = 0;
+  std::vector<std::string> InstantNames;
   for (const JsonValue &E : Events->array()) {
     ASSERT_TRUE(E.isObject());
     const JsonValue *Ph = E.field("ph");
@@ -259,14 +264,20 @@ void checkChromeTraceSchema(const std::string &Json, unsigned ExpectSpans) {
     const std::string &Kind = Ph->asString();
     if (Kind == "M")
       continue; // process/thread metadata
-    ASSERT_TRUE(Kind == "B" || Kind == "E") << Kind;
+    ASSERT_TRUE(Kind == "B" || Kind == "E" || Kind == "i") << Kind;
     ASSERT_NE(E.field("ts"), nullptr);
     ASSERT_TRUE(E.field("ts")->isNumber());
     ASSERT_NE(E.field("pid"), nullptr);
     ASSERT_NE(E.field("tid"), nullptr);
+    ASSERT_NE(E.field("name"), nullptr);
     int Tid = static_cast<int>(E.field("tid")->asNumber());
-    if (Kind == "B") {
-      ASSERT_NE(E.field("name"), nullptr);
+    if (Kind == "i") {
+      ASSERT_NE(E.field("args"), nullptr);
+      ASSERT_TRUE(E.field("args")->isObject());
+      InstantNames.push_back(E.field("name")->asString());
+      if (Instants)
+        Instants->push_back(E);
+    } else if (Kind == "B") {
       OpenByTid[Tid].push_back(E.field("name")->asString());
     } else {
       ASSERT_FALSE(OpenByTid[Tid].empty()) << "E without B on tid " << Tid;
@@ -277,10 +288,16 @@ void checkChromeTraceSchema(const std::string &Json, unsigned ExpectSpans) {
   for (const auto &[Tid, Open] : OpenByTid)
     EXPECT_TRUE(Open.empty()) << "unbalanced spans on tid " << Tid;
   EXPECT_EQ(Durations, ExpectSpans);
+  EXPECT_EQ(std::count(InstantNames.begin(), InstantNames.end(), "run.final"),
+            1);
+  ASSERT_FALSE(InstantNames.empty());
+  EXPECT_EQ(InstantNames.back(), "run.final");
 }
 
 TEST(TraceExportTest, ExportsBalancedWellNestedEvents) {
+  Telemetry T;
   SpanRecorder R;
+  T.Spans = &R;
   {
     ScopedSpan A(&R, "level");
     { ScopedSpan B(&R, "expand"); }
@@ -294,7 +311,7 @@ TEST(TraceExportTest, ExportsBalancedWellNestedEvents) {
     ScopedSpan I(&R, "probe");
   });
   Worker.join();
-  std::string Json = renderChromeTrace(R, "obs_flight_test");
+  std::string Json = renderChromeTrace(T, "obs_flight_test", "complete");
   checkChromeTraceSchema(Json, 6);
   // Timestamps within a tid's B events must be non-decreasing.
   JsonValue V;
@@ -314,13 +331,97 @@ TEST(TraceExportTest, ExportsBalancedWellNestedEvents) {
 }
 
 TEST(TraceExportTest, WritesLoadableFile) {
+  Telemetry T;
   SpanRecorder R;
+  T.Spans = &R;
   { ScopedSpan A(&R, "run"); }
   std::string Path = tempPath("trace");
-  ASSERT_TRUE(writeChromeTrace(R, Path, "obs_flight_test"));
+  ASSERT_TRUE(writeChromeTrace(T, Path, "obs_flight_test", "complete"));
   checkChromeTraceSchema(slurp(Path), 1);
   std::remove(Path.c_str());
-  EXPECT_FALSE(writeChromeTrace(R, "/nonexistent-dir/x/trace.json", "t"));
+  EXPECT_FALSE(
+      writeChromeTrace(T, "/nonexistent-dir/x/trace.json", "t", "complete"));
+}
+
+TEST(TraceExportTest, InstantsKeepSpansBalanced) {
+  Telemetry T;
+  SpanRecorder R;
+  T.Spans = &R;
+  R.instant("before", {{"k", 1}});
+  {
+    ScopedSpan A(&R, "outer");
+    R.instant("inside", {{"s", "x"}, {"b", false}});
+    { ScopedSpan B(&R, "inner"); }
+  }
+  std::thread Worker([&R] {
+    ScopedSpan W(&R, "task");
+    R.instant("worker", {{"d", 0.5}});
+  });
+  Worker.join();
+  std::vector<JsonValue> Instants;
+  checkChromeTraceSchema(renderChromeTrace(T, "t", "complete"), 3, &Instants);
+  ASSERT_EQ(Instants.size(), 4u);
+  std::vector<std::string> Names;
+  for (const JsonValue &I : Instants)
+    Names.push_back(I.field("name")->asString());
+  EXPECT_EQ(Names, (std::vector<std::string>{"before", "inside", "worker",
+                                             "run.final"}));
+  EXPECT_EQ(Instants[1].field("args")->field("s")->asString(), "x");
+  EXPECT_FALSE(Instants[1].field("args")->field("b")->asBool());
+  EXPECT_EQ(Instants[2].field("tid")->asNumber(), 1.0);
+  EXPECT_EQ(Instants[2].field("args")->field("d")->asNumber(), 0.5);
+}
+
+TEST(TraceExportTest, RunFinalCarriesCountersGaugesAndSpanTotals) {
+  Telemetry T;
+  SpanRecorder R;
+  T.Spans = &R;
+  { ScopedSpan S(&R, "x"); }
+  T.Counters.add("demo.counter", 7);
+  T.Counters.setGauge("demo.gauge", 1.5);
+  std::vector<JsonValue> Instants;
+  checkChromeTraceSchema(renderChromeTrace(T, "t", "deadline"), 1, &Instants);
+  ASSERT_FALSE(Instants.empty());
+  const JsonValue *Args = Instants.back().field("args");
+  EXPECT_EQ(Args->field("reason")->asString(), "deadline");
+  EXPECT_EQ(Args->field("demo.counter")->asNumber(), 7.0);
+  EXPECT_EQ(Args->field("demo.gauge")->asNumber(), 1.5);
+  EXPECT_EQ(Args->field("spans.recorded")->asNumber(), 1.0);
+  EXPECT_EQ(Args->field("spans.dropped")->asNumber(), 0.0);
+}
+
+TEST(TraceExportTest, RunFinalWithoutRecorder) {
+  Telemetry T;
+  T.Counters.add("demo.counter", 2);
+  std::vector<JsonValue> Instants;
+  checkChromeTraceSchema(renderChromeTrace(T, "t", "complete"), 0, &Instants);
+  ASSERT_EQ(Instants.size(), 1u);
+  const JsonValue *Args = Instants[0].field("args");
+  EXPECT_EQ(Args->field("demo.counter")->asNumber(), 2.0);
+  EXPECT_EQ(Args->field("spans.recorded"), nullptr);
+}
+
+TEST(TraceExportTest, RunFinalSurvivesAFullLane) {
+  Telemetry T;
+  SpanRecorder R;
+  T.Spans = &R;
+  T.Counters.add("demo.counter", 3);
+  constexpr size_t Cap = SpanRecorder::MaxSpansPerLane;
+  for (size_t I = 0; I != Cap; ++I) {
+    ScopedSpan S(&R, "fill");
+    R.instant("fill", {});
+  }
+  { ScopedSpan S(&R, "lost"); }
+  R.instant("lost", {{"k", 1}});
+  EXPECT_EQ(R.droppedSpans(), 2u);
+  std::vector<JsonValue> Instants;
+  checkChromeTraceSchema(renderChromeTrace(T, "t", "complete"),
+                         static_cast<unsigned>(Cap), &Instants);
+  ASSERT_EQ(Instants.size(), Cap + 1);
+  const JsonValue *Args = Instants.back().field("args");
+  EXPECT_EQ(Args->field("demo.counter")->asNumber(), 3.0);
+  EXPECT_EQ(Args->field("spans.recorded")->asNumber(), 2.0 * Cap);
+  EXPECT_EQ(Args->field("spans.dropped")->asNumber(), 2.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -357,75 +458,6 @@ TEST(HeartbeatTest, StartFailsOnBadPath) {
   Heartbeat Beat;
   EXPECT_FALSE(Beat.start("/nonexistent-dir/x/hb.jsonl", 100));
   EXPECT_FALSE(Beat.running());
-}
-
-//===----------------------------------------------------------------------===//
-// Trace-sink precedence and the final snapshot
-//===----------------------------------------------------------------------===//
-
-TEST(TraceSinkTest, FlagWinsOverEnv) {
-  std::string FlagPath = tempPath("flag");
-  std::string EnvPath = tempPath("env");
-  ::setenv("PSEQ_TRACE", EnvPath.c_str(), 1);
-  {
-    std::unique_ptr<TraceSink> Sink = traceSinkFromFlagOrEnv(FlagPath);
-    ASSERT_NE(Sink, nullptr);
-    ASSERT_TRUE(Sink->enabled());
-    Sink->event("test", {{"k", TraceValue(uint64_t(1))}});
-  }
-  ::unsetenv("PSEQ_TRACE");
-  EXPECT_NE(slurp(FlagPath).find("\"ev\":\"test\""), std::string::npos);
-  EXPECT_TRUE(slurp(EnvPath).empty()); // env path was never opened
-  std::remove(FlagPath.c_str());
-  std::remove(EnvPath.c_str());
-}
-
-TEST(TraceSinkTest, EmptyFlagFallsBackToEnv) {
-  std::string EnvPath = tempPath("envonly");
-  ::setenv("PSEQ_TRACE", EnvPath.c_str(), 1);
-  {
-    std::unique_ptr<TraceSink> Sink = traceSinkFromFlagOrEnv("");
-    ASSERT_NE(Sink, nullptr);
-    EXPECT_TRUE(Sink->enabled());
-  }
-  ::unsetenv("PSEQ_TRACE");
-  EXPECT_EQ(traceSinkFromFlagOrEnv(""), nullptr); // both unset: off
-  std::remove(EnvPath.c_str());
-}
-
-TEST(TelemetryTest, FinalSnapshotEmitsRunFinal) {
-  std::string Path = tempPath("final");
-  SpanRecorder Spans;
-  { ScopedSpan S(&Spans, "x"); }
-  {
-    JsonlTraceSink Sink(Path);
-    ASSERT_TRUE(Sink.ok());
-    Telemetry Telem;
-    Telem.Sink = &Sink;
-    Telem.Spans = &Spans;
-    Telem.Counters.add("demo.counter", 7);
-    Telem.Counters.setGauge("demo.gauge", 1.5);
-    Telem.finalSnapshot("complete");
-  }
-  std::istringstream In(slurp(Path));
-  std::string Line, Last;
-  while (std::getline(In, Line))
-    Last = Line;
-  JsonValue V;
-  std::string Err;
-  ASSERT_TRUE(JsonValue::parse(Last, V, &Err)) << Err;
-  EXPECT_EQ(V.field("ev")->asString(), "run.final");
-  EXPECT_EQ(V.field("reason")->asString(), "complete");
-  EXPECT_EQ(V.field("demo.counter")->asNumber(), 7.0);
-  EXPECT_EQ(V.field("demo.gauge")->asNumber(), 1.5);
-  EXPECT_EQ(V.field("spans.recorded")->asNumber(), 1.0);
-  std::remove(Path.c_str());
-}
-
-TEST(TelemetryTest, FinalSnapshotWithoutSinkIsANoop) {
-  Telemetry Telem;
-  Telem.finalSnapshot("complete"); // Sink == nullptr: must not crash
-  SUCCEED();
 }
 
 } // namespace

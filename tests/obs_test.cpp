@@ -5,15 +5,16 @@
 //
 // Covers the obs layer in isolation: counter/gauge registries and merge
 // semantics, ScopedTally flushing, per-name span totals with self time,
-// JSONL escaping and the PSEQ_TRACE sink contract, and report determinism.
+// JSON escaping, instant events and their export, and report determinism.
 //
 //===----------------------------------------------------------------------===//
 
 #include "lang/Parser.h"
 #include "obs/Counters.h"
 #include "obs/Report.h"
+#include "obs/JsonValue.h"
 #include "obs/Telemetry.h"
-#include "obs/TraceSink.h"
+#include "obs/TraceExport.h"
 #include "seq/BehaviorEnum.h"
 #include "seq/SimpleRefinement.h"
 #include "support/Truncation.h"
@@ -185,7 +186,7 @@ TEST(SpanTotals, LanesAggregateByName) {
 }
 
 //===----------------------------------------------------------------------===//
-// JSON encoding and the trace sink
+// JSON encoding and instant events
 //===----------------------------------------------------------------------===//
 
 TEST(Json, EscapesSpecialCharacters) {
@@ -204,77 +205,59 @@ TEST(Json, NumbersAreFiniteOrNull) {
   EXPECT_EQ(jsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
-TEST(TraceSink, JsonlLinesAreWellFormed) {
-  std::string Path = tempPath("pseq_obs_trace");
-  {
-    JsonlTraceSink Sink(Path);
-    ASSERT_TRUE(Sink.ok());
-    Sink.event("alpha", {{"n", TraceValue(uint64_t(7))},
-                         {"neg", TraceValue(int64_t(-3))},
-                         {"flag", TraceValue(true)},
-                         {"name", TraceValue("say \"hi\"\n")}});
-    Sink.event("beta", {{"r", TraceValue(2.5)}});
-  }
+TEST(InstantEvents, ExportedWithEveryArgKind) {
+  Telemetry T;
+  SpanRecorder Spans;
+  T.Spans = &Spans;
+  Spans.instant("alpha", {{"n", uint64_t(7)},
+                          {"neg", int64_t(-3)},
+                          {"flag", true},
+                          {"name", "say \"hi\"\n"}});
+  Spans.instant("beta", {{"r", 2.5}});
+  ASSERT_EQ(Spans.instants(0).size(), 2u);
+  EXPECT_EQ(Spans.totalSpans(), 2u); // instants count as lane records
+
+  std::string Path = tempPath("pseq_obs_instants");
+  ASSERT_TRUE(writeChromeTrace(T, Path, "obs_test", "complete"));
   std::string Text = slurp(Path);
-  // Two newline-terminated lines, sequenced from 0, with escaped strings.
-  EXPECT_NE(Text.find("\"seq\":0"), std::string::npos);
-  EXPECT_NE(Text.find("\"seq\":1"), std::string::npos);
-  EXPECT_NE(Text.find("\"ev\":\"alpha\""), std::string::npos);
+  EXPECT_NE(Text.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(Text.find("\"n\":7"), std::string::npos);
   EXPECT_NE(Text.find("\"neg\":-3"), std::string::npos);
   EXPECT_NE(Text.find("\"flag\":true"), std::string::npos);
   EXPECT_NE(Text.find("\"name\":\"say \\\"hi\\\"\\n\""), std::string::npos);
   EXPECT_NE(Text.find("\"r\":2.5"), std::string::npos);
-  ASSERT_FALSE(Text.empty());
-  EXPECT_EQ(Text.back(), '\n');
-  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 2);
 
-  // The ISSUE contract: every line must round-trip through a strict JSON
-  // parser. Use python3 when available, mirroring the documented check.
+  // The file must load with a strict JSON parser. Use python3 when
+  // available, mirroring the documented check.
   if (std::system("command -v python3 >/dev/null 2>&1") == 0) {
-    std::string Cmd = "python3 -c \"import json,sys; "
-                      "[json.loads(l) for l in sys.stdin]\" < " +
-                      Path;
-    EXPECT_EQ(std::system(Cmd.c_str()), 0) << "JSONL failed to parse";
+    std::string Cmd =
+        "python3 -c \"import json,sys; json.load(sys.stdin)\" < " + Path;
+    EXPECT_EQ(std::system(Cmd.c_str()), 0) << "trace failed to parse";
   }
   std::remove(Path.c_str());
 }
 
-TEST(TraceSink, TelemetryTraceRoutesThroughSink) {
-  std::string Path = tempPath("pseq_obs_telem_trace");
-  {
-    JsonlTraceSink Sink(Path);
-    Telemetry T;
-    EXPECT_FALSE(T.tracing());
-    T.trace("dropped", {}); // no sink attached: silently ignored
-    T.Sink = &Sink;
-    EXPECT_TRUE(T.tracing());
-    T.trace("kept", {{"v", TraceValue(1)}});
-  }
-  std::string Text = slurp(Path);
-  EXPECT_EQ(Text.find("dropped"), std::string::npos);
-  EXPECT_NE(Text.find("\"ev\":\"kept\""), std::string::npos);
-  std::remove(Path.c_str());
-}
+TEST(InstantEvents, EngineSitesRecordOnlyWithARecorder) {
+  RefinementResult R;
+  R.Holds = true;
+  R.SrcBehaviors = 3;
+  Telemetry T;
+  observeRefinementCheck(&T, "seq.check.simple", R, 1.0); // no recorder
+  EXPECT_EQ(T.Counters.counter("seq.check.simple.calls"), 1u);
 
-TEST(TraceSink, EnvContract) {
-  // Unset and empty PSEQ_TRACE both mean "no sink".
-  ::unsetenv("PSEQ_TRACE");
-  EXPECT_EQ(traceSinkFromEnv(), nullptr);
-  ::setenv("PSEQ_TRACE", "", 1);
-  EXPECT_EQ(traceSinkFromEnv(), nullptr);
-
-  std::string Path = tempPath("pseq_obs_env_trace");
-  ::setenv("PSEQ_TRACE", Path.c_str(), 1);
-  {
-    std::unique_ptr<TraceSink> Sink = traceSinkFromEnv();
-    ASSERT_NE(Sink, nullptr);
-    EXPECT_TRUE(Sink->enabled());
-    Sink->event("env", {});
-  }
-  ::unsetenv("PSEQ_TRACE");
-  EXPECT_NE(slurp(Path).find("\"ev\":\"env\""), std::string::npos);
-  std::remove(Path.c_str());
+  SpanRecorder Spans;
+  T.Spans = &Spans;
+  observeRefinementCheck(&T, "seq.check.simple", R, 1.0);
+  ASSERT_EQ(Spans.lanes(), 1u);
+  ASSERT_EQ(Spans.instants(0).size(), 1u);
+  const InstantRecord &I = Spans.instants(0)[0];
+  EXPECT_STREQ(I.Name, "seq.check.simple");
+  std::vector<std::string> Keys;
+  for (const InstantArg &A : I.Args)
+    Keys.push_back(A.Key);
+  EXPECT_EQ(Keys, (std::vector<std::string>{
+                      "holds", "bounded", "cause", "initial_states",
+                      "src_behaviors", "tgt_behaviors", "ms"}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,9 +6,10 @@
 // The telemetry dictionary in DESIGN.md is the contract for every dotted
 // key the instrumentation can emit. This test drives the engines with a
 // live telemetry registry and span recorder, collects every key that
-// actually fired (counters, gauges, histograms, span names), and fails if
-// any is missing from the dictionary table — so a new instrumentation site
-// cannot land undocumented. Digit runs are normalized to `N`
+// actually fired (counters, gauges, histograms, span names, instant-event
+// names), and fails if any is missing from the dictionary table — so a new
+// instrumentation site cannot land undocumented. An instant-event name
+// needs a row of kind `event`. Digit runs are normalized to `N`
 // (psna.explore.thread3.steps matches psna.explore.threadN.steps).
 //
 //===----------------------------------------------------------------------===//
@@ -59,11 +60,12 @@ std::string normalizeDigits(const std::string &Key) {
 }
 
 /// First-column backticked keys of the dictionary table rows
-/// (`| `key` | ...`) in DESIGN.md's "Telemetry dictionary" section.
-std::set<std::string> dictionaryKeys() {
+/// (`| `key` | kind | ...`) in DESIGN.md's "Telemetry dictionary" section,
+/// each with the kinds its rows give it.
+std::map<std::string, std::set<std::string>> dictionaryKeys() {
   std::ifstream In(PSEQ_DESIGN_MD);
   EXPECT_TRUE(In.good()) << "cannot open " << PSEQ_DESIGN_MD;
-  std::set<std::string> Keys;
+  std::map<std::string, std::set<std::string>> Keys;
   std::string Line;
   bool InSection = false;
   while (std::getline(In, Line)) {
@@ -76,15 +78,29 @@ std::set<std::string> dictionaryKeys() {
     if (!InSection || Line.rfind("| `", 0) != 0)
       continue;
     size_t End = Line.find('`', 3);
-    if (End != std::string::npos)
-      Keys.insert(Line.substr(3, End - 3));
+    if (End == std::string::npos)
+      continue;
+    std::set<std::string> &Kinds = Keys[Line.substr(3, End - 3)];
+    size_t KindBegin = Line.find("| ", End);
+    size_t KindEnd = KindBegin == std::string::npos
+                         ? std::string::npos
+                         : Line.find(" |", KindBegin + 2);
+    if (KindEnd != std::string::npos)
+      Kinds.insert(Line.substr(KindBegin + 2, KindEnd - KindBegin - 2));
   }
   return Keys;
 }
 
+/// The keys an engine run fired: every counter, gauge, histogram and span
+/// name, and separately every instant-event name.
+struct FiredKeys {
+  std::set<std::string> Keys;
+  std::set<std::string> Events;
+};
+
 /// Drives every instrumented engine once and returns the normalized keys
 /// that fired.
-std::set<std::string> runtimeKeys() {
+FiredKeys runtimeKeys() {
   obs::Telemetry Telem;
   obs::SpanRecorder Spans;
   Telem.Spans = &Spans;
@@ -183,21 +199,24 @@ std::set<std::string> runtimeKeys() {
       Telem.Counters.maxGauge(Name, V);
   }
 
-  std::set<std::string> Keys;
+  FiredKeys Out;
   for (const auto &[Name, V] : Telem.Counters.counters())
-    Keys.insert(normalizeDigits(Name));
+    Out.Keys.insert(normalizeDigits(Name));
   for (const auto &[Name, V] : Telem.Counters.gauges())
-    Keys.insert(normalizeDigits(Name));
+    Out.Keys.insert(normalizeDigits(Name));
   for (const auto &[Name, H] : Telem.Counters.histograms())
-    Keys.insert(normalizeDigits(Name));
-  for (unsigned L = 0; L < Spans.lanes(); ++L)
+    Out.Keys.insert(normalizeDigits(Name));
+  for (unsigned L = 0; L < Spans.lanes(); ++L) {
     for (const obs::SpanRecord &S : Spans.lane(L))
-      Keys.insert(normalizeDigits(S.Name));
-  return Keys;
+      Out.Keys.insert(normalizeDigits(S.Name));
+    for (const obs::InstantRecord &I : Spans.instants(L))
+      Out.Events.insert(normalizeDigits(I.Name));
+  }
+  return Out;
 }
 
 TEST(TelemetryDictTest, DictionaryParses) {
-  std::set<std::string> Dict = dictionaryKeys();
+  std::map<std::string, std::set<std::string>> Dict = dictionaryKeys();
   // A representative of every kind must be present — guards against the
   // section being renamed or the table reformatted.
   EXPECT_GT(Dict.size(), 50u);
@@ -211,18 +230,25 @@ TEST(TelemetryDictTest, DictionaryParses) {
   EXPECT_TRUE(Dict.count("opt.validate.method.psna"));
   EXPECT_TRUE(Dict.count("atlas.mismatch"));
   EXPECT_TRUE(Dict.count("atlas.build"));
+  EXPECT_TRUE(Dict["run.final"].count("event"));
+  EXPECT_TRUE(Dict["psna.explore"].count("span"));
+  EXPECT_TRUE(Dict["psna.explore"].count("event"));
 }
 
 TEST(TelemetryDictTest, EveryRuntimeKeyIsDocumented) {
-  std::set<std::string> Dict = dictionaryKeys();
+  std::map<std::string, std::set<std::string>> Dict = dictionaryKeys();
   ASSERT_FALSE(Dict.empty());
-  std::set<std::string> Fired = runtimeKeys();
-  ASSERT_GT(Fired.size(), 20u) << "instrumentation did not fire";
+  FiredKeys Fired = runtimeKeys();
+  ASSERT_GT(Fired.Keys.size(), 20u) << "instrumentation did not fire";
+  ASSERT_GT(Fired.Events.size(), 3u) << "no instant events fired";
 
   std::ostringstream Missing;
-  for (const std::string &Key : Fired)
+  for (const std::string &Key : Fired.Keys)
     if (!Dict.count(Key))
       Missing << "  " << Key << "\n";
+  for (const std::string &Name : Fired.Events)
+    if (!Dict[Name].count("event"))
+      Missing << "  " << Name << " (kind event)\n";
   EXPECT_TRUE(Missing.str().empty())
       << "keys missing from the DESIGN.md telemetry dictionary "
          "(add a table row per key):\n"

@@ -8,10 +8,11 @@
 // and bit-identical non-timing histograms (sizes/counts — keys without a
 // ".ns"/".us"/".ms" suffix). Gauges (pool/guard/memo occupancy, peak
 // frontier) and timing histograms are thread-count-dependent by nature and
-// excluded. Span *sets* (the multiset of recorded span names) must also be
-// stable — for the explorers and for the engines that fan out over them
-// (the translation validator, the adequacy harness, the atlas), whose
-// worker telemetry shares the caller's span recorder.
+// excluded. Span *sets* (the multiset of recorded span names, instant-event
+// names included under an "event:" prefix) must also be stable — for the
+// explorers and for the engines that fan out over them (the translation
+// validator, the adequacy harness, the atlas), whose worker telemetry
+// shares the caller's span recorder.
 //
 // This is the test teeth behind the DESIGN.md claim that the PS^na frontier
 // evolves identically for every worker count (level-synchronous BFS merged
@@ -61,12 +62,16 @@ std::string histFingerprint(const obs::Histogram &H) {
   return F;
 }
 
-/// Multiset of the span names \p Spans recorded.
+/// Multiset of the span names \p Spans recorded, plus its instant-event
+/// names prefixed "event:".
 std::map<std::string, uint64_t> spanNames(const obs::SpanRecorder &Spans) {
   std::map<std::string, uint64_t> Out;
-  for (unsigned L = 0; L < Spans.lanes(); ++L)
+  for (unsigned L = 0; L < Spans.lanes(); ++L) {
     for (const obs::SpanRecord &S : Spans.lane(L))
       ++Out[S.Name];
+    for (const obs::InstantRecord &I : Spans.instants(L))
+      ++Out[std::string("event:") + I.Name];
+  }
   return Out;
 }
 
@@ -221,6 +226,7 @@ TEST(TraceDeterminismTest, PsnaCorpusTelemetryThreadInvariant) {
   EXPECT_GT(T1.SpanNames.size(), 0u);
   EXPECT_GT(T1.SpanNames.count("psna.level"), 0u);
   EXPECT_GT(T1.SpanNames.count("psna.expand"), 0u);
+  EXPECT_GT(T1.SpanNames.count("event:psna.explore"), 0u);
   expectSameTelemetry(T1, T2, "psna 1 vs 2");
   expectSameTelemetry(T1, T8, "psna 1 vs 8");
 }

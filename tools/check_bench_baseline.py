@@ -9,15 +9,17 @@ A row is {"key": K, "op": OP, "value": V} with OP one of ==, <= and >=; a
 tolerance is written into V (a count allowed to grow 10% has V = 1.1 x the
 pinned count, rounded down).
 
-INPUT is either a JSONL trace, whose last run.final record supplies the
-keys (litmus_explorer --trace PATH, PSEQ_TRACE=PATH atlas_report), or one
-JSON object (bench_* --json, validate_client --bench-out), whose nested
-members are flattened to dotted keys (memo.states_explored). A row whose
-key the input lacks fails, and so does a trace without a run.final record.
+INPUT is either a Chrome trace, whose last run.final instant event
+supplies the keys in its args (litmus_explorer --trace-out PATH,
+atlas_report --trace-out PATH), or one JSON object (bench_* --json,
+validate_client --bench-out), whose nested members are flattened to
+dotted keys (memo.states_explored). A row whose key the input lacks fails,
+and so does a trace without a run.final event.
 
 --self-test checks the comparator: for every row of every group, a value
-just past the row's bound must fail, and so must a missing key and a trace
-without a run.final record.
+just past the row's bound must fail, and so must a missing key; it also
+checks the input reader on a trace without run.final, a trace with two,
+and a JSONL file.
 """
 
 import argparse
@@ -31,7 +33,9 @@ OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 def fail(msg):
-    print(f"check_bench_baseline: FAIL: {msg}", file=sys.stderr)
+    # Named after the running script: tools/bench_trend.py shares this.
+    tool = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+    print(f"{tool}: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -66,29 +70,25 @@ def flatten(obj, prefix=""):
 
 
 def load_values(path):
-    """The keys INPUT supplies: a JSON object flattened, or a JSONL
-    trace's last run.final record."""
+    """The keys INPUT supplies: a Chrome trace's last run.final args, or a
+    JSON object flattened."""
     with open(path) as f:
         text = f.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
         obj = None
-    if isinstance(obj, dict) and "ev" not in obj:
+    if not isinstance(obj, dict) or "ev" in obj:
+        raise GateError(f"{path}: neither a Chrome trace (--trace-out PATH) "
+                        "nor one JSON object; a JSONL event stream is not "
+                        "read")
+    if "traceEvents" not in obj:
         return flatten(obj)
-    final = None
-    for n, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise GateError(f"{path}:{n}: not JSON ({e})")
-        if isinstance(rec, dict) and rec.get("ev") == "run.final":
-            final = rec
-    if final is None:
-        raise GateError(f"no run.final record in {path} (was the run traced?)")
-    return final
+    finals = [e.get("args", {}) for e in obj["traceEvents"]
+              if e.get("ph") == "i" and e.get("name") == "run.final"]
+    if not finals:
+        raise GateError(f"no run.final event in {path} (was the run traced?)")
+    return finals[-1]
 
 
 def check(rows, values):
@@ -138,23 +138,40 @@ def self_test(groups):
                 f.write("".join(json.dumps(x) + "\n" for x in lines))
             return path
 
-        no_final = write("no-final.jsonl", [{"seq": 0, "ev": "psna.explore"}])
-        try:
-            load_values(no_final)
-            fail("self-test: a trace without run.final was accepted")
-        except GateError:
-            pass
-        trace = write("trace.jsonl", [
-            {"seq": 0, "ev": "run.final", "reason": "deadline", "a.b": 1},
-            {"seq": 1, "ev": "run.final", "reason": "complete", "a.b": 2}])
+        def rejected(path):
+            try:
+                load_values(path)
+            except GateError as e:
+                return str(e)
+            return None
+
+        def instant(name, **args):
+            return {"name": name, "ph": "i", "ts": 0, "pid": 1, "tid": 0,
+                    "args": args}
+
+        span = {"name": "psna.explore", "ph": "B", "ts": 0, "pid": 1,
+                "tid": 0}
+        no_final = write("no-final.json", [{"traceEvents": [
+            span, instant("psna.explore", states=3)]}])
+        expect(rejected(no_final), "a trace without run.final was accepted")
+        trace = write("trace.json", [{"traceEvents": [
+            instant("run.final", reason="deadline", **{"a.b": 1}), span,
+            instant("run.final", reason="complete", **{"a.b": 2})]}])
         expect(load_values(trace)["a.b"] == 2, "not the last run.final read")
+        record = {"seq": 0, "ev": "run.final", "reason": "complete", "a.b": 2}
+        for lines in (1, 2):
+            msg = rejected(write("trace.jsonl", [record] * lines))
+            expect(msg and "--trace-out" in msg,
+                   f"a {lines}-line JSONL file was not rejected naming "
+                   f"--trace-out ({msg})")
         obj = write("bench.json", [{"memo": {"enabled": True}, "jobs": 3}])
         expect(load_values(obj) == {"memo.enabled": True, "jobs": 3},
                "JSON object not flattened to dotted keys")
 
     print(f"check_bench_baseline: self-test OK: {tripped} rows in "
           f"{len(groups)} groups each failed past their bound and when "
-          f"missing; a trace without run.final failed")
+          f"missing; a trace without run.final and a JSONL file failed, "
+          f"and the last of two run.final events was read")
 
 
 def main():
@@ -166,7 +183,7 @@ def main():
     ap.add_argument("--self-test", action="store_true",
                     help="check the comparator against every baseline row")
     ap.add_argument("input", nargs="?",
-                    help="JSONL trace (run.final) or JSON object")
+                    help="Chrome trace (run.final) or JSON object")
     args = ap.parse_args()
 
     groups = load_baseline(args.baseline)
